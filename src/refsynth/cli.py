@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import logging
+import math
 import os
 import shlex
 import sys
@@ -54,10 +56,11 @@ from .mining import (
     should_refresh,
     total_loss,
 )
+from .reasoning import match
 from .scene_graph import (
+    Corpus,
     SceneGraph,
     SynonymTable,
-    eligible_targets,
     load_corpus_path,
     load_synonyms,
     target_exclusion_reason,
@@ -89,15 +92,16 @@ def _write_jsonl(path: str, payloads: Iterable[dict]) -> int:
     return count
 
 
-def _read_jsonl(path: str) -> list[dict]:
-    out = []
+def _read_jsonl(path: str) -> dict[int, dict]:
+    """Line number -> parsed object, for every non-blank line."""
+    out = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(json.loads(line))
+                out[lineno] = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno} is not valid JSON") from exc
     return out
@@ -129,7 +133,7 @@ def _expressions_for_image(
     targets: Sequence[str],
     gen_config: GenerationConfig,
     seed: int,
-) -> tuple[str, list[ExpressionRecord]]:
+) -> list[ExpressionRecord]:
     """Worker body: all expressions for one image, per-target RNG streams.
 
     Each target gets a stream derived from (seed, image, target), so output
@@ -139,7 +143,7 @@ def _expressions_for_image(
     for target in targets:
         rng = derive_rng(seed, graph.image_id, target)
         records.extend(generate(graph, target, gen_config, rng))
-    return graph.image_id, records
+    return records
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -172,34 +176,30 @@ def cmd_generate(args: argparse.Namespace) -> int:
     )
 
     excluded = {"area": 0, "blacklist": 0}
-    jobs: list[tuple[SceneGraph, tuple[str, ...]]] = []
-    total_targets = 0
+    graphs = list(corpus.graphs.values())
+    targets_per_image: list[tuple[str, ...]] = []
     blacklist = frozenset(config.category_blacklist)
-    for graph in corpus.graphs.values():
+    for graph in graphs:
+        targets = []
         for node in graph.nodes:
             reason = target_exclusion_reason(graph, node, config.min_area_ratio, blacklist)
-            if reason is not None:
+            if reason is None:
+                targets.append(node.id)
+            else:
                 excluded[reason] += 1
-        targets = eligible_targets(graph, config.min_area_ratio, blacklist)
-        total_targets += len(targets)
-        jobs.append((graph, targets))
+        targets_per_image.append(tuple(targets))
+    total_targets = sum(len(targets) for targets in targets_per_image)
 
-    by_image: dict[str, list[ExpressionRecord]] = {}
+    work = functools.partial(_expressions_for_image, gen_config=gen_config, seed=config.seed)
     if config.workers > 1:
+        # One contiguous chunk per worker; map returns results in corpus order.
+        chunksize = max(1, math.ceil(len(graphs) / config.workers))
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [
-                pool.submit(_expressions_for_image, graph, targets, gen_config, config.seed)
-                for graph, targets in jobs
-            ]
-            for future in concurrent.futures.as_completed(futures):
-                image_id, records = future.result()
-                by_image[image_id] = records
+            per_image = list(pool.map(work, graphs, targets_per_image, chunksize=chunksize))
     else:
-        for graph, targets in jobs:
-            image_id, records = _expressions_for_image(graph, targets, gen_config, config.seed)
-            by_image[image_id] = records
+        per_image = list(map(work, graphs, targets_per_image))
 
-    records = [r for image_id in corpus.graphs for r in by_image[image_id]]
+    records = [r for image_records in per_image for r in image_records]
     dropped_spatial = 0
     if config.drop_spatial_only:
         kept = [r for r in records if not is_spatial_only(r.tree)]
@@ -231,6 +231,21 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _checked_expression(path: str, lineno: int, payload: dict, corpus: Corpus,
+                        lexicon: dict[str, str]) -> ExpressionRecord:
+    """Parse one expression line and check it against the corpus it claims."""
+    record = ExpressionRecord.from_jsonable(payload)
+    where = f"{path}:{lineno}: expression {record.expr_id!r}"
+    graph = corpus.graphs.get(record.image_id)
+    if graph is None:
+        raise DataError(f"{where}: image {record.image_id!r} is not in the corpus")
+    if record.target_id not in graph.node_by_id:
+        raise DataError(f"{where}: object {record.target_id!r} is not in image {record.image_id!r}")
+    if match(record.tree, graph, lexicon) != {record.target_id}:
+        raise DataError(f"{where}: its tree does not match exactly its target {record.target_id!r}")
+    return record
+
+
 def cmd_distract(args: argparse.Namespace) -> int:
     config = load_config(args.config, seed=args.seed, per_type=args.per_type)
     synonyms = _load_synonyms(args.synonyms)
@@ -239,7 +254,10 @@ def cmd_distract(args: argparse.Namespace) -> int:
     payloads = _read_jsonl(args.expressions)
     if not payloads:
         raise EmptyInput(f"no expressions in {args.expressions}")
-    records = [ExpressionRecord.from_jsonable(p) for p in payloads]
+    records = [
+        _checked_expression(args.expressions, lineno, payload, corpus, lexicon)
+        for lineno, payload in payloads.items()
+    ]
 
     instances: list[TaskInstance] = []
     discarded: list[dict] = []
@@ -287,7 +305,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     payloads = _read_jsonl(args.instances)
     if not payloads:
         raise EmptyInput(f"no instances in {args.instances}")
-    instances = [TaskInstance.from_jsonable(p) for p in payloads]
+    instances = [TaskInstance.from_jsonable(p) for p in payloads.values()]
     train, val, test = split(instances, config.split_ratios, config.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -310,11 +328,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     expressions = ()
     if args.expressions:
         expressions = tuple(
-            ExpressionRecord.from_jsonable(p) for p in _read_jsonl(args.expressions)
+            ExpressionRecord.from_jsonable(p) for p in _read_jsonl(args.expressions).values()
         )
     instances = ()
     if args.instances:
-        instances = tuple(TaskInstance.from_jsonable(p) for p in _read_jsonl(args.instances))
+        instances = tuple(
+            TaskInstance.from_jsonable(p) for p in _read_jsonl(args.instances).values()
+        )
     stats = compute_stats(corpus, expressions, instances, top_k=args.top_k)
     if args.json:
         _print_summary(stats.to_jsonable())
@@ -348,7 +368,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     payloads = _read_jsonl(args.instances)
     if not payloads:
         raise EmptyInput(f"no instances in {args.instances}")
-    instances = [TaskInstance.from_jsonable(p) for p in payloads]
+    instances = [TaskInstance.from_jsonable(p) for p in payloads.values()]
     corpus = None
     if args.corpus:
         corpus = load_corpus_path(args.corpus, _load_synonyms(args.synonyms))
@@ -370,6 +390,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_mine_demo(args: argparse.Namespace) -> int:
+    if args.iterations < 1:
+        raise ConfigError(f"--iterations must be at least 1, got {args.iterations}")
     config = load_config(args.config, seed=args.seed, margin=args.margin)
     if args.corpus:
         corpus = load_corpus_path(args.corpus, _load_synonyms(args.synonyms))

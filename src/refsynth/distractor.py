@@ -11,18 +11,18 @@ across the whole task instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import islice
 from typing import Mapping
 
 from .errors import SchemaViolation
 from .expression import ExpressionRecord
 from .reasoning import (
-    EDGE_RELATION,
-    EDGE_SAME,
     LogicForm,
     ReasoningTree,
     TreeEdge,
+    TreeNode,
     match,
     tree_categories,
 )
@@ -40,42 +40,47 @@ class DistractorType(str, Enum):
     CAT_CAT = "CatCat"
 
 
-# When one image qualifies for several types, the scan assigns it to the most
-# specific unfilled slot, in this order.
+# An image holding the root category qualifies for these types; it is assigned
+# to the most specific unfilled slot, in this order.
 _ASSIGNMENT_PRIORITY = (
     DistractorType.CAT_CAT,
     DistractorType.CAT_ATTR,
     DistractorType.CAT,
-    DistractorType.DIFF_CAT,
 )
 
 
-def _relation_hop(graph: SceneGraph, subject_id: str, edge: TreeEdge,
-                  extension: TreeEdge | None = None) -> bool:
-    """Category-level realization of one relation edge (attributes ignored)."""
-    for rel in graph.out_edges(subject_id):
-        if rel.predicate != edge.predicate:
-            continue
-        child = graph.node(rel.object)
-        if child.category != edge.child.category:
-            continue
-        if extension is None or _relation_hop(graph, child.id, extension):
-            return True
-    return False
+def _bare_edge(edge: TreeEdge) -> TreeEdge:
+    return replace(edge, child=TreeNode(edge.child.category))
 
 
-def _same_hop(graph: SceneGraph, obj_id: str, edge: TreeEdge,
+def _skeleton(tree: ReasoningTree) -> ReasoningTree:
+    """The tree with every node's attributes, order and negation removed."""
+    extension = tree.chain_extension
+    return replace(
+        tree,
+        root=TreeNode(tree.root.category),
+        edges=tuple(_bare_edge(e) for e in tree.edges),
+        chain_extension=None if extension is None else _bare_edge(extension),
+    )
+
+
+def _realized(skeleton: ReasoningTree, graph: SceneGraph,
               lexicon: Mapping[str, str] | None) -> bool:
-    """Category-level realization of a same-attribute edge (no exclusivity)."""
+    if not skeleton.edges:
+        return False
+    if skeleton.form is not LogicForm.SAME:
+        return bool(match(skeleton, graph))
+    # Any shared value of the edge's category counts; exclusivity is not asked.
     if lexicon is None:
         return False
-    obj = graph.node(obj_id)
-    for peer in graph.nodes_of_category(edge.child.category):
-        if peer.id == obj_id:
-            continue
-        if any(value in peer.attribute_set and lexicon.get(value) == edge.category
-               for value in obj.attributes):
-            return True
+    edge = skeleton.edges[0]
+    for obj in graph.nodes_of_category(skeleton.root.category):
+        for peer in graph.nodes_of_category(edge.child.category):
+            if peer.id != obj.id and any(
+                value in peer.attribute_set and lexicon.get(value) == edge.category
+                for value in obj.attributes
+            ):
+                return True
     return False
 
 
@@ -84,29 +89,18 @@ def skeleton_realized(tree: ReasoningTree, graph: SceneGraph,
     """Does any object realize the tree's category-and-relation skeleton?
 
     Attributes, ordering, and negations are stripped; only the object
-    categories and the relational structure count.  Trees without any
-    relational structure realize nothing, so for them this is always False.
+    categories and the relational structure count.  Relational forms are
+    decided by ``match`` on the stripped tree; a same-form tree needs any
+    value of the edge's attribute category shared by a root-category object
+    and a distinct child-category object.  Trees without any relational
+    structure realize nothing, so for them this is always False.
     """
-    if not tree.edges:
-        return False
-    for obj in graph.nodes_of_category(tree.root.category):
-        hits = []
-        for edge in tree.edges:
-            if edge.kind == EDGE_RELATION:
-                extension = tree.chain_extension if tree.form is LogicForm.CHAIN else None
-                hits.append(_relation_hop(graph, obj.id, edge, extension))
-            elif edge.kind == EDGE_SAME:
-                hits.append(_same_hop(graph, obj.id, edge, lexicon))
-        satisfied = any(hits) if tree.form is LogicForm.OR else all(hits)
-        if satisfied:
-            return True
-    return False
+    return _realized(_skeleton(tree), graph, lexicon)
 
 
-def _structural_ok(dtype: DistractorType, graph: SceneGraph, expr: ExpressionRecord,
-                   lexicon: Mapping[str, str] | None) -> bool:
+def _structural_ok(dtype: DistractorType, graph: SceneGraph, tree: ReasoningTree,
+                   skeleton: ReasoningTree, lexicon: Mapping[str, str] | None) -> bool:
     """The per-type condition on image content, excluding the no-match check."""
-    tree = expr.tree
     category_objects = graph.nodes_of_category(tree.root.category)
     if dtype is DistractorType.DIFF_CAT:
         return not category_objects
@@ -121,7 +115,7 @@ def _structural_ok(dtype: DistractorType, graph: SceneGraph, expr: ExpressionRec
     for category in tree_categories(tree):
         if not graph.nodes_of_category(category):
             return False
-    return not skeleton_realized(tree, graph, lexicon)
+    return not _realized(skeleton, graph, lexicon)
 
 
 def type_predicate(dtype: DistractorType, graph: SceneGraph, expr: ExpressionRecord,
@@ -131,7 +125,7 @@ def type_predicate(dtype: DistractorType, graph: SceneGraph, expr: ExpressionRec
     All four types additionally demand that no region of the image satisfies
     the expression's tree, which keeps the target unique across the instance.
     """
-    if not _structural_ok(dtype, graph, expr, lexicon):
+    if not _structural_ok(dtype, graph, expr.tree, _skeleton(expr.tree), lexicon):
         return False
     return not match(expr.tree, graph, lexicon)
 
@@ -202,27 +196,34 @@ def _scan(
     per_type: int,
     lexicon: Mapping[str, str] | None,
 ) -> dict[DistractorType, list[str]]:
-    """Greedy single pass in ascending image-id order, one slot per image."""
-    target_image = expr.image_id
-    category_images = corpus.images_with_category(expr.tree.root.category)
+    """Greedy pass in ascending image-id order, one slot per image.
+
+    DiffCat takes the first images without the root category.  The other
+    types walk only the images that hold it; an image matching the tree fills
+    no slot, any other fills the most specific open type it qualifies for.
+    """
+    tree = expr.tree
+    category = tree.root.category
     slots: dict[DistractorType, list[str]] = {dtype: [] for dtype in DistractorType}
-    for image_id in corpus.image_ids:
-        if image_id == target_image:
-            continue
-        if all(len(ids) >= per_type for ids in slots.values()):
+    slots[DistractorType.DIFF_CAT] = list(islice(
+        (image_id for image_id, graph in corpus.graphs.items()
+         if image_id != expr.image_id and not graph.nodes_of_category(category)),
+        per_type,
+    ))
+    skeleton = _skeleton(tree)
+    for image_id in corpus.images_with_category(category):
+        if all(len(slots[dtype]) >= per_type for dtype in _ASSIGNMENT_PRIORITY):
             break
+        if image_id == expr.image_id:
+            continue
         graph = corpus.graphs[image_id]
-        has_category = image_id in category_images
         for dtype in _ASSIGNMENT_PRIORITY:
             if len(slots[dtype]) >= per_type:
                 continue
-            # Cheap category screen before any matching work.
-            if (dtype is DistractorType.DIFF_CAT) == has_category:
-                continue
-            if not _structural_ok(dtype, graph, expr, lexicon):
+            if not _structural_ok(dtype, graph, tree, skeleton, lexicon):
                 continue
             # Common to every type: no region may satisfy the tree.
-            if not match(expr.tree, graph, lexicon):
+            if not match(tree, graph, lexicon):
                 slots[dtype].append(image_id)
             break
     return slots

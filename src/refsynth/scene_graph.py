@@ -228,8 +228,16 @@ class Corpus:
     def image_ids(self) -> tuple[str, ...]:
         return tuple(self.graphs)
 
-    def images_with_category(self, category: str) -> frozenset[str]:
-        return frozenset(img for img, _ in self.category_index.get(category, ()))
+    @cached_property
+    def _images_by_category(self) -> dict[str, tuple[str, ...]]:
+        return {
+            category: tuple(dict.fromkeys(img for img, _ in occurrences))
+            for category, occurrences in self.category_index.items()
+        }
+
+    def images_with_category(self, category: str) -> tuple[str, ...]:
+        """Ids of the images holding the category, ascending."""
+        return self._images_by_category.get(category, ())
 
     def verify_index(self) -> None:
         """Recount the category index from the graphs; raise on divergence."""

@@ -103,6 +103,60 @@ def brute_force_match(tree, graph, lexicon=None) -> set[str]:
     return hits
 
 
+def _category_hop_ok(graph, subject_id, predicate, category, then=None) -> bool:
+    for edge in graph.edges:
+        if edge.subject != subject_id or edge.predicate != predicate:
+            continue
+        child = next(n for n in graph.nodes if n.id == edge.object)
+        if child.category != category:
+            continue
+        if then is None:
+            return True
+        then_predicate, then_category = then
+        if _category_hop_ok(graph, child.id, then_predicate, then_category):
+            return True
+    return False
+
+
+def brute_force_skeleton(tree, graph, lexicon=None) -> bool:
+    """Exhaustive reimplementation of the category-and-relation skeleton check.
+
+    Only categories, predicates and same-attribute categories count; a tree
+    with no edges realizes nothing, and a same-form tree realizes nothing
+    without a lexicon.
+    """
+    if not tree.edges:
+        return False
+    for obj in graph.nodes:
+        if obj.category != tree.root.category:
+            continue
+        if tree.form is LogicForm.SAME:
+            if lexicon is None:
+                return False
+            edge = tree.edges[0]
+            for peer in graph.nodes:
+                if peer.id == obj.id or peer.category != edge.child.category:
+                    continue
+                for value in obj.attributes:
+                    if value in peer.attributes and lexicon.get(value) == edge.category:
+                        return True
+            continue
+        then = None
+        if tree.form is LogicForm.CHAIN and tree.chain_extension is not None:
+            then = (tree.chain_extension.predicate, tree.chain_extension.child.category)
+        branch = []
+        for edge in tree.edges:
+            branch.append(
+                _category_hop_ok(graph, obj.id, edge.predicate, edge.child.category, then)
+            )
+        if tree.form is LogicForm.OR:
+            if True in branch:
+                return True
+        elif False not in branch:
+            return True
+    return False
+
+
 def literal_rank_loss(positive, negative_region, negative_expression, margin) -> float:
     """The two-hinge ranking objective, written out term by term."""
     first = margin + negative_region - positive

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import logging
 import shutil
 import subprocess
 
@@ -10,8 +12,14 @@ import pytest
 
 from refsynth.cli import main
 from refsynth.distractor import TaskInstance
+from refsynth.scene_graph import load_corpus_path
 
-from .conftest import CORPUS_PATH
+from .conftest import CORPUS_PATH, PIPELINE_SEED
+
+# sha256 of the generate and distract outputs on the fixture corpus at
+# PIPELINE_SEED, so that no refactor of either stage changes a byte unseen.
+EXPRESSIONS_SHA256 = "bd4a9950fbd9b6d98f2cc637fba0424039206275aa6cf4fb2a98cbedd9b4d986"
+INSTANCES_SHA256 = "b3c941f1556d5fc3bc9ed8773cb1a259217e8c250e76ca54465f358ef5788b8b"
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +44,10 @@ def read_lines(path):
         return [json.loads(line) for line in handle if line.strip()]
 
 
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestGenerate:
     def test_outputs_and_log(self, pipeline_dir):
         records = read_lines(pipeline_dir / "expressions.jsonl")
@@ -53,6 +65,17 @@ class TestGenerate:
             "generate", "--corpus", CORPUS_PATH, "--out", str(again), "--seed", "0",
         ]) == 0
         assert again.read_bytes() == (pipeline_dir / "expressions.jsonl").read_bytes()
+
+    def test_output_bytes_are_pinned(self, pipeline_dir):
+        assert sha256(pipeline_dir / "expressions.jsonl") == EXPRESSIONS_SHA256
+
+    def test_two_workers_give_the_pinned_bytes(self, tmp_path):
+        out = tmp_path / "expressions.jsonl"
+        assert main([
+            "generate", "--corpus", CORPUS_PATH, "--out", str(out),
+            "--seed", str(PIPELINE_SEED), "--workers", "2",
+        ]) == 0
+        assert sha256(out) == EXPRESSIONS_SHA256
 
     def test_different_seed_changes_the_output(self, pipeline_dir, tmp_path):
         other = tmp_path / "expressions.jsonl"
@@ -73,6 +96,46 @@ class TestDistract:
             log = json.load(handle)
         assert log["instances"] == len(payloads)
         assert log["discarded"] + log["instances"] == log["expressions"]
+
+    def test_output_bytes_are_pinned(self, pipeline_dir):
+        assert sha256(pipeline_dir / "instances.jsonl") == INSTANCES_SHA256
+
+    def _distract_with_second_line(self, pipeline_dir, tmp_path, caplog, edit):
+        """Run distract on two expressions, the second one edited; return the code."""
+        first, second = read_lines(pipeline_dir / "expressions.jsonl")[:2]
+        edit(second)
+        path = tmp_path / "expressions.jsonl"
+        path.write_text("".join(json.dumps(p) + "\n" for p in (first, second)))
+        with caplog.at_level(logging.ERROR, logger="refsynth"):
+            code = main([
+                "distract", "--corpus", CORPUS_PATH,
+                "--expressions", str(path), "--out", str(tmp_path / "out.jsonl"),
+            ])
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert f"{path}:2" in errors[0] and second["expr_id"] in errors[0]
+        return code
+
+    def test_unknown_image_exits_3(self, pipeline_dir, tmp_path, caplog):
+        def edit(payload):
+            payload["image_id"] = "no-such-image"
+
+        assert self._distract_with_second_line(pipeline_dir, tmp_path, caplog, edit) == 3
+
+    def test_unknown_target_exits_3(self, pipeline_dir, tmp_path, caplog):
+        def edit(payload):
+            payload["target_id"] = "no-such-object"
+
+        assert self._distract_with_second_line(pipeline_dir, tmp_path, caplog, edit) == 3
+
+    def test_tree_that_misses_its_target_exits_3(self, pipeline_dir, tmp_path, caplog):
+        graphs = load_corpus_path(CORPUS_PATH).graphs
+
+        def edit(payload):
+            nodes = graphs[payload["image_id"]].nodes
+            payload["target_id"] = next(n.id for n in nodes if n.id != payload["target_id"])
+
+        assert self._distract_with_second_line(pipeline_dir, tmp_path, caplog, edit) == 3
 
     def test_empty_expressions_file_exits_4(self, tmp_path):
         empty = tmp_path / "expressions.jsonl"
@@ -169,6 +232,13 @@ class TestMineDemo:
         assert payload["iterations"] == 120
         assert payload["refreshes"] == 2
         assert payload["mean_total_loss"] >= 0.0
+
+    @pytest.mark.parametrize("iterations", ["0", "-3"])
+    def test_iterations_below_one_exit_2(self, iterations):
+        code = main([
+            "mine-demo", "--regions", "64", "--dim", "8", "--iterations", iterations,
+        ])
+        assert code == 2
 
 
 class TestSchemaCheck:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from refsynth.distractor import (
     DistractorType,
     TaskInstance,
@@ -14,6 +17,7 @@ from refsynth.distractor import (
 )
 from refsynth.expression import default_attribute_lexicon, default_templates, fill
 from refsynth.reasoning import (
+    EDGE_RELATION,
     LogicForm,
     OrderSpec,
     ReasoningTree,
@@ -25,7 +29,8 @@ from refsynth.reasoning import (
 from refsynth.scene_graph import Corpus, SynonymTable
 
 from .conftest import box, build_graph
-from .oracles import brute_force_match
+from .oracles import brute_force_match, brute_force_skeleton
+from .test_reasoning import ATTRIBUTES, graphs, trees
 
 LEXICON = default_attribute_lexicon()
 
@@ -92,6 +97,36 @@ def toy_corpus() -> Corpus:
     return Corpus.build(graphs)
 
 
+@st.composite
+def planted_cases(draw, form):
+    """A tree of the given form and a graph that may hold parts of its skeleton.
+
+    Random graphs seldom realize a skeleton, so one object per tree node is
+    added with random attributes, and each of the tree's relation edges is
+    planted between them or left out.
+    """
+    tree = draw(trees(form))
+    graph = draw(graphs())
+    objects = {n.id: (n.category, n.attributes, n.box) for n in graph.nodes}
+    edges = {(e.subject, e.predicate, e.object) for e in graph.edges}
+
+    def plant(category):
+        object_id = f"p{len(objects)}"
+        attrs = tuple(draw(st.lists(st.sampled_from(ATTRIBUTES), max_size=2, unique=True)))
+        objects[object_id] = (category, attrs, box())
+        return object_id
+
+    root = plant(tree.root.category)
+    for edge in tree.edges:
+        child = plant(edge.child.category)
+        if edge.kind == EDGE_RELATION and draw(st.booleans()):
+            edges.add((root, edge.predicate, child))
+        extension = tree.chain_extension
+        if extension is not None and draw(st.booleans()):
+            edges.add((child, extension.predicate, plant(extension.child.category)))
+    return tree, build_graph("img", objects, sorted(edges))
+
+
 class TestTypePredicates:
     def test_each_image_kind_maps_to_its_type(self):
         corpus = toy_corpus()
@@ -121,6 +156,14 @@ class TestTypePredicates:
         )
         graph = build_graph("img", {"o1": ("cup", (), box())})
         assert not skeleton_realized(tree, graph, LEXICON)
+
+    @pytest.mark.parametrize("form", list(LogicForm))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), with_lexicon=st.booleans())
+    def test_skeleton_agrees_with_independent_reimplementation(self, form, data, with_lexicon):
+        tree, graph = data.draw(planted_cases(form))
+        lexicon = LEXICON if with_lexicon else None
+        assert skeleton_realized(tree, graph, lexicon) == brute_force_skeleton(tree, graph, lexicon)
 
     def test_category_presence_promotes_cat_to_cat_cat_for_edge_free_trees(self):
         # One cup cannot be second from the left, so the tree matches nothing

@@ -74,8 +74,9 @@ def child_nodes(draw):
 
 
 @st.composite
-def trees(draw):
-    form = draw(st.sampled_from(list(LogicForm)))
+def trees(draw, form=None):
+    if form is None:
+        form = draw(st.sampled_from(list(LogicForm)))
     category = draw(st.sampled_from(CATEGORIES))
     attrs = tuple(draw(st.lists(st.sampled_from(ATTRIBUTES), max_size=2, unique=True)))
     if form is LogicForm.CHAIN:

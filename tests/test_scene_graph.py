@@ -135,7 +135,7 @@ class TestLoadCorpus:
         graph = corpus.graphs["img"]
         assert graph.node("o1").attributes == ("red",)
         assert graph.edges[0].predicate == "near"
-        assert corpus.images_with_category("dog") == frozenset({"img"})
+        assert corpus.images_with_category("dog") == ("img",)
 
     def test_malformed_json(self):
         with pytest.raises(MalformedDocument):
