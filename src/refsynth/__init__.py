@@ -52,17 +52,6 @@ from .expression import (
     select_template,
     shuffle_words,
 )
-from .mining import (
-    ModularEmbedding,
-    SamplingTable,
-    build_sampling_table,
-    cosine_similarity,
-    mine_loss,
-    rank_loss,
-    sample_negatives,
-    should_refresh,
-    total_loss,
-)
 from .reasoning import (
     LogicForm,
     OrderSpec,
@@ -93,6 +82,29 @@ from .scene_graph import (
 )
 
 __version__ = "0.1.0"
+
+# The mining names need numpy; they are imported on first access (PEP 562)
+# so that importing the package, and every CLI command but mine-demo, does
+# not load it.
+_MINING_NAMES = frozenset({
+    "ModularEmbedding",
+    "SamplingTable",
+    "build_sampling_table",
+    "cosine_similarity",
+    "mine_loss",
+    "rank_loss",
+    "sample_negatives",
+    "should_refresh",
+    "total_loss",
+})
+
+
+def __getattr__(name: str):
+    if name in _MINING_NAMES:
+        from . import mining
+
+        return getattr(mining, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BoundingBox",

@@ -23,7 +23,7 @@ import math
 import os
 import shlex
 import sys
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .balance import compute_stats, format_stats_table, is_spatial_only, relation_weights, split
 from .config import load_config
@@ -48,14 +48,6 @@ from .expression import (
     load_attribute_lexicon,
     load_templates,
 )
-from .mining import (
-    build_sampling_table,
-    mine_loss,
-    rank_loss,
-    sample_negatives,
-    should_refresh,
-    total_loss,
-)
 from .reasoning import match
 from .scene_graph import (
     Corpus,
@@ -65,10 +57,11 @@ from .scene_graph import (
     load_synonyms,
     target_exclusion_reason,
 )
-from .synthgen import embeddings_for_corpus, make_embeddings
 from .util import derive_rng, hash_uniform
 
 log = logging.getLogger("refsynth")
+
+T = TypeVar("T")
 
 
 def _setup_logging(verbose: bool) -> None:
@@ -105,6 +98,18 @@ def _read_jsonl(path: str) -> dict[int, dict]:
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno} is not valid JSON") from exc
     return out
+
+
+def _parsed(path: str, lineno: int, parse: Callable[[object], T], payload: object) -> T:
+    """Parse one line's object; a malformed one names its ``path:line``."""
+    try:
+        return parse(payload)
+    except DataError as exc:
+        raise DataError(f"{path}:{lineno}: {exc}") from exc
+
+
+def _read_records(path: str, parse: Callable[[object], T]) -> list[T]:
+    return [_parsed(path, lineno, parse, payload) for lineno, payload in _read_jsonl(path).items()]
 
 
 def _load_synonyms(path: str | None) -> SynonymTable:
@@ -234,7 +239,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _checked_expression(path: str, lineno: int, payload: dict, corpus: Corpus,
                         lexicon: dict[str, str]) -> ExpressionRecord:
     """Parse one expression line and check it against the corpus it claims."""
-    record = ExpressionRecord.from_jsonable(payload)
+    record = _parsed(path, lineno, ExpressionRecord.from_jsonable, payload)
     where = f"{path}:{lineno}: expression {record.expr_id!r}"
     graph = corpus.graphs.get(record.image_id)
     if graph is None:
@@ -302,10 +307,9 @@ def cmd_split(args: argparse.Namespace) -> int:
             raise ConfigError(f"bad --ratios value {args.ratios!r}") from exc
         ratios = parts
     config = load_config(args.config, seed=args.seed, split_ratios=ratios)
-    payloads = _read_jsonl(args.instances)
-    if not payloads:
+    instances = _read_records(args.instances, TaskInstance.from_jsonable)
+    if not instances:
         raise EmptyInput(f"no instances in {args.instances}")
-    instances = [TaskInstance.from_jsonable(p) for p in payloads.values()]
     train, val, test = split(instances, config.split_ratios, config.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -327,14 +331,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
         corpus = load_corpus_path(args.corpus, _load_synonyms(args.synonyms))
     expressions = ()
     if args.expressions:
-        expressions = tuple(
-            ExpressionRecord.from_jsonable(p) for p in _read_jsonl(args.expressions).values()
-        )
+        expressions = tuple(_read_records(args.expressions, ExpressionRecord.from_jsonable))
     instances = ()
     if args.instances:
-        instances = tuple(
-            TaskInstance.from_jsonable(p) for p in _read_jsonl(args.instances).values()
-        )
+        instances = tuple(_read_records(args.instances, TaskInstance.from_jsonable))
     stats = compute_stats(corpus, expressions, instances, top_k=args.top_k)
     if args.json:
         _print_summary(stats.to_jsonable())
@@ -365,10 +365,9 @@ def _build_scorer(args: argparse.Namespace, corpus, lexicon):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    payloads = _read_jsonl(args.instances)
-    if not payloads:
+    instances = _read_records(args.instances, TaskInstance.from_jsonable)
+    if not instances:
         raise EmptyInput(f"no instances in {args.instances}")
-    instances = [TaskInstance.from_jsonable(p) for p in payloads.values()]
     corpus = None
     if args.corpus:
         corpus = load_corpus_path(args.corpus, _load_synonyms(args.synonyms))
@@ -390,6 +389,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_mine_demo(args: argparse.Namespace) -> int:
+    # Imported here so that no other subcommand pays for loading numpy.
+    from .mining import (
+        build_sampling_table,
+        mine_loss,
+        rank_loss,
+        sample_negatives,
+        should_refresh,
+        total_loss,
+    )
+    from .synthgen import embeddings_for_corpus, make_embeddings
+
     if args.iterations < 1:
         raise ConfigError(f"--iterations must be at least 1, got {args.iterations}")
     config = load_config(args.config, seed=args.seed, margin=args.margin)

@@ -164,12 +164,17 @@ class TaskInstance:
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "TaskInstance":
+        if not isinstance(data, Mapping):
+            raise SchemaViolation(f"task instance must be an object, got {type(data).__name__}")
         for key in ("expression", "target_image", "distractors", "candidate_regions"):
             if key not in data:
                 raise SchemaViolation(f"task instance missing {key!r}")
+        target_image = data["target_image"]
+        if not isinstance(target_image, str):
+            raise SchemaViolation(f"target_image must be a string, got {target_image!r}")
         try:
             distractors = {
-                DistractorType(name): tuple(ids)
+                DistractorType(name): _image_ids(ids)
                 for name, ids in data["distractors"].items()
             }
         except (ValueError, AttributeError) as exc:
@@ -177,17 +182,38 @@ class TaskInstance:
         missing = set(DistractorType) - set(distractors)
         if missing:
             raise SchemaViolation(f"distractor map missing types {sorted(t.value for t in missing)}")
+        raw_regions = data["candidate_regions"]
+        if not isinstance(raw_regions, Mapping):
+            raise SchemaViolation(f"candidate_regions must be an object, got {type(raw_regions).__name__}")
         regions = {}
-        for image_id, raw in data["candidate_regions"].items():
-            regions[image_id] = tuple(
-                (obj_id, BoundingBox.from_jsonable(box)) for obj_id, box in raw
-            )
-        return cls(
+        for image_id, raw in raw_regions.items():
+            if not isinstance(raw, list):
+                raise SchemaViolation(f"candidate regions of {image_id!r} must be a list, got {type(raw).__name__}")
+            parsed = []
+            for region in raw:
+                if type(region) is not list or len(region) != 2 or type(region[0]) is not str:
+                    raise SchemaViolation(
+                        f"candidate region of {image_id!r} must be an [object id, box] pair, got {region!r}"
+                    )
+                obj_id, box = region
+                parsed.append((obj_id, BoundingBox.from_jsonable(box)))
+            regions[image_id] = tuple(parsed)
+        instance = cls(
             expression=ExpressionRecord.from_jsonable(data["expression"]),
-            target_image=data["target_image"],
+            target_image=target_image,
             distractors=distractors,
             candidate_regions=regions,
         )
+        unlisted = [image_id for image_id in instance.images if image_id not in regions]
+        if unlisted:
+            raise SchemaViolation(f"no candidate_regions entry for images {unlisted}")
+        return instance
+
+
+def _image_ids(ids) -> tuple[str, ...]:
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise ValueError(f"image ids must be a list of strings, got {ids!r}")
+    return tuple(ids)
 
 
 def _scan(

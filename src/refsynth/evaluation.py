@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import json
 import subprocess
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Mapping, Protocol, Sequence
+from itertools import chain
+from typing import IO, Iterable, Mapping, Protocol, Sequence
 
 from .distractor import DistractorType, TaskInstance
 from .errors import DataError, KeyMismatch, NoCandidates, EmptyInput
@@ -53,8 +55,16 @@ def setting_images(instance: TaskInstance, setting: Setting) -> tuple[str, ...]:
     return (instance.target_image,) + instance.distractors[_SETTING_TYPE[setting]]
 
 
+Region = tuple[str, str, BoundingBox]  # (image id, object id, box)
+
+
 class RegionScorer(Protocol):
-    """Anything that can rate how well a region fits an expression."""
+    """Anything that can rate how well a region fits an expression.
+
+    A scorer may also define ``score_batch(expression, regions)``, which
+    takes a sequence of :data:`Region` triples and returns their scores in
+    the same order; :func:`score_regions` prefers it when present.
+    """
 
     def score(
         self,
@@ -149,8 +159,11 @@ class SubprocessScorer:
 
     Each request is a single line ``{"box": ..., "expr_id": ..., "image_id":
     ..., "object_id": ..., "text": ...}`` on the child's stdin; the child must
-    answer with one line ``{"score": <number>}`` on stdout.  Use as a context
-    manager so the child is reaped.
+    answer each with one line ``{"score": <number>}`` on stdout, in request
+    order.  :meth:`score_batch` writes a whole batch from a writer thread
+    while it reads the answers, so the child may receive every request of a
+    batch before it answers the first.  Use as a context manager so the
+    child is reaped.
     """
 
     def __init__(self, command: Sequence[str]) -> None:
@@ -171,51 +184,127 @@ class SubprocessScorer:
 
     def close(self) -> None:
         if self._proc is not None:
-            if self._proc.stdin:
-                self._proc.stdin.close()
+            try:
+                if self._proc.stdin:
+                    self._proc.stdin.close()
+            except BrokenPipeError:
+                pass  # the child has already gone; wait() reaps it
+            if self._proc.stdout:
+                self._proc.stdout.close()
             self._proc.wait()
             self._proc = None
 
     def score(self, expression, image_id, object_id, box):
-        if self._proc is None or self._proc.stdin is None or self._proc.stdout is None:
+        return self.score_batch(expression, ((image_id, object_id, box),))[0]
+
+    def score_batch(self, expression: ExpressionRecord, regions: Sequence[Region]) -> list[float]:
+        """One score per region, answered by the child in request order.
+
+        On any failure the child is killed, so that a writer blocked on a
+        child that stopped reading ends, and the writer is joined before
+        this returns or raises.
+        """
+        proc = self._proc
+        if proc is None or proc.stdin is None or proc.stdout is None:
             raise DataError("scorer process is not running")
-        request = {
-            "box": box.to_jsonable(),
-            "expr_id": expression.expr_id,
-            "image_id": image_id,
-            "object_id": object_id,
-            "text": expression.text,
-        }
-        self._proc.stdin.write(json.dumps(request, sort_keys=True) + "\n")
-        self._proc.stdin.flush()
-        line = self._proc.stdout.readline()
-        if not line:
-            raise DataError("scorer process closed its output")
+        requests = "".join(
+            json.dumps(
+                {
+                    "box": box.to_jsonable(),
+                    "expr_id": expression.expr_id,
+                    "image_id": image_id,
+                    "object_id": object_id,
+                    "text": expression.text,
+                },
+                sort_keys=True,
+            ) + "\n"
+            for image_id, object_id, box in regions
+        )
+        failures: list[OSError] = []
+        writer = threading.Thread(
+            target=_send, args=(proc.stdin, requests, failures), name="refsynth-scorer-writer", daemon=True
+        )
+        writer.start()
         try:
-            payload = json.loads(line)
-            value = payload["score"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DataError(f"bad scorer response: {line!r}") from exc
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise DataError(f"scorer returned a non-number: {value!r}")
-        return float(value)
+            values = [_read_score(proc.stdout) for _ in regions]
+        except BaseException:
+            proc.kill()
+            raise
+        finally:
+            writer.join()
+        if failures:
+            proc.kill()
+            raise DataError(f"scorer process stopped reading requests: {failures[0]}") from failures[0]
+        return values
 
 
-def select_region(
-    instance: TaskInstance,
-    scorer: RegionScorer,
-    setting: Setting = Setting.FULL,
+def _send(stream: IO[str], requests: str, failures: list[OSError]) -> None:
+    """Writer-thread body: send every request line, note a broken pipe."""
+    try:
+        stream.write(requests)
+        stream.flush()
+    except OSError as exc:
+        failures.append(exc)
+
+
+def _read_score(stream: IO[str]) -> float:
+    line = stream.readline()
+    if not line:
+        raise DataError("scorer process closed its output")
+    try:
+        payload = json.loads(line)
+        value = payload["score"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise DataError(f"bad scorer response: {line!r}") from exc
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise DataError(f"scorer returned a non-number: {value!r}")
+    return float(value)
+
+
+def score_regions(
+    scorer: RegionScorer, expression: ExpressionRecord, regions: Sequence[Region]
+) -> list[float]:
+    """Scores of the regions in order: one ``score_batch`` call if the
+    scorer has it, else one ``score`` call per region."""
+    batch = getattr(scorer, "score_batch", None)
+    if batch is None:
+        return [scorer.score(expression, image_id, object_id, box) for image_id, object_id, box in regions]
+    values = batch(expression, regions)
+    if len(values) != len(regions):
+        raise DataError(f"scorer returned {len(values)} scores for {len(regions)} regions")
+    return values
+
+
+def _score_images(
+    instance: TaskInstance, scorer: RegionScorer, image_ids: Iterable[str]
+) -> dict[str, list[float]]:
+    """Image id -> scores of its candidate regions, in ``candidate_regions``
+    order.  Each image is scored once, in first-seen order."""
+    candidates = instance.candidate_regions
+    pool = tuple(dict.fromkeys(image_ids))
+    regions = [(image_id, object_id, box) for image_id in pool for object_id, box in candidates[image_id]]
+    values = score_regions(scorer, instance.expression, regions)
+    scores = {}
+    start = 0
+    for image_id in pool:
+        end = start + len(candidates[image_id])
+        scores[image_id] = values[start:end]
+        start = end
+    return scores
+
+
+def _argmax(
+    instance: TaskInstance, image_ids: Sequence[str], scores: Mapping[str, Sequence[float]]
 ) -> tuple[str, str]:
-    """Argmax over every candidate region in the setting's images.
+    """Best-scoring candidate region of the images.
 
     Ties go to the lexicographically smallest (image id, object id) pair, so
     selection is a pure function of the scores.
     """
     best: tuple[str, str] | None = None
     best_score = float("-inf")
-    for image_id in setting_images(instance, setting):
-        for object_id, box in instance.candidate_regions[image_id]:
-            value = scorer.score(instance.expression, image_id, object_id, box)
+    for image_id in image_ids:
+        for (object_id, _), value in zip(instance.candidate_regions[image_id], scores[image_id]):
             candidate = (image_id, object_id)
             if value > best_score or (value == best_score and (best is None or candidate < best)):
                 best = candidate
@@ -223,6 +312,16 @@ def select_region(
     if best is None:
         raise NoCandidates(f"no candidate regions for {instance.expression.expr_id}")
     return best
+
+
+def select_region(
+    instance: TaskInstance,
+    scorer: RegionScorer,
+    setting: Setting = Setting.FULL,
+) -> tuple[str, str]:
+    """Argmax over every candidate region in the setting's images."""
+    image_ids = setting_images(instance, setting)
+    return _argmax(instance, image_ids, _score_images(instance, scorer, image_ids))
 
 
 def length_bucket(word_count: int) -> str:
@@ -293,7 +392,11 @@ def evaluate(
     scorer: RegionScorer,
     settings: Sequence[Setting] = tuple(Setting),
 ) -> EvaluationReport:
-    """Run selection for each instance under each setting and tally hits."""
+    """Run selection for each instance under each setting and tally hits.
+
+    Each instance's pool, the images of all requested settings, is scored
+    once; every setting is then an argmax over its share of those scores.
+    """
     if not instances:
         raise EmptyInput("no task instances to evaluate")
     results = {setting: SettingResult() for setting in settings}
@@ -301,8 +404,10 @@ def evaluate(
         expr = instance.expression
         bucket = length_bucket(expr.word_count)
         answer = (instance.target_image, expr.target_id)
-        for setting in settings:
-            chosen = select_region(instance, scorer, setting)
+        per_setting = [setting_images(instance, setting) for setting in settings]
+        scores = _score_images(instance, scorer, chain.from_iterable(per_setting))
+        for setting, image_ids in zip(settings, per_setting):
+            chosen = _argmax(instance, image_ids, scores)
             results[setting].record(expr.form.value, bucket, chosen == answer)
     return EvaluationReport(settings=results, instance_count=len(instances))
 

@@ -206,9 +206,14 @@ class ExpressionRecord:
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "ExpressionRecord":
+        if not isinstance(data, Mapping):
+            raise SchemaViolation(f"expression record must be an object, got {type(data).__name__}")
         for key in ("expr_id", "text", "tokens", "form", "tree", "image_id", "target_id"):
             if key not in data:
                 raise SchemaViolation(f"expression record missing {key!r}")
+        for key in ("expr_id", "text", "image_id", "target_id"):
+            if not isinstance(data[key], str):
+                raise SchemaViolation(f"expression record {key!r} must be a string, got {data[key]!r}")
         try:
             form = LogicForm(data["form"])
             tokens = tuple((surface, TokenRole(role)) for surface, role in data["tokens"])

@@ -135,6 +135,13 @@ class SceneGraph:
     def out_edges(self, object_id: str) -> tuple[RelationEdge, ...]:
         return self._out_edges.get(object_id, ())
 
+    @cached_property
+    def _category_orders(self) -> dict[str, tuple[str, ...]]:
+        return {
+            category: tuple(n.id for n in sorted(nodes, key=lambda n: (n.box.center_x, n.id)))
+            for category, nodes in self._by_category.items()
+        }
+
     def category_order(self, category: str) -> tuple[str, ...]:
         """Object ids of a category ordered left to right by box center.
 
@@ -143,8 +150,7 @@ class SceneGraph:
         which keeps rank i from the left identical to rank k+1-i from the
         right even under ties.
         """
-        ranked = sorted(self.nodes_of_category(category), key=lambda n: (n.box.center_x, n.id))
-        return tuple(n.id for n in ranked)
+        return self._category_orders.get(category, ())
 
 
 @dataclass

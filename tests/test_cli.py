@@ -5,11 +5,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import shlex
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import refsynth
 from refsynth.cli import main
 from refsynth.distractor import TaskInstance
 from refsynth.scene_graph import load_corpus_path
@@ -137,6 +141,24 @@ class TestDistract:
 
         assert self._distract_with_second_line(pipeline_dir, tmp_path, caplog, edit) == 3
 
+    @pytest.mark.parametrize("edit", [
+        lambda payload: 5,
+        lambda payload: {**payload, "image_id": ["x"]},
+        lambda payload: {**payload, "target_id": 7},
+    ], ids=["non-object", "list-image-id", "int-target-id"])
+    def test_malformed_record_exits_3_naming_its_line(self, pipeline_dir, tmp_path, caplog, edit):
+        first, second = read_lines(pipeline_dir / "expressions.jsonl")[:2]
+        path = tmp_path / "expressions.jsonl"
+        path.write_text("".join(json.dumps(p) + "\n" for p in (first, edit(second))))
+        with caplog.at_level(logging.ERROR, logger="refsynth"):
+            code = main([
+                "distract", "--corpus", CORPUS_PATH,
+                "--expressions", str(path), "--out", str(tmp_path / "out.jsonl"),
+            ])
+        assert code == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and f"{path}:2:" in errors[0]
+
     def test_empty_expressions_file_exits_4(self, tmp_path):
         empty = tmp_path / "expressions.jsonl"
         empty.write_text("")
@@ -145,6 +167,43 @@ class TestDistract:
             "--expressions", str(empty), "--out", str(tmp_path / "out.jsonl"),
         ])
         assert code == 4
+
+
+def _first_region_list_broken(payload):
+    image_id = payload["target_image"]
+    payload["candidate_regions"][image_id] = [[payload["candidate_regions"][image_id][0][0]]]
+    return payload
+
+
+def _distractor_without_regions(payload):
+    payload["distractors"]["Cat"][0] = "nope"
+    return payload
+
+
+class TestMalformedInstances:
+    """split, stats and eval stop with exit 3 and name the bad line."""
+
+    @pytest.mark.parametrize("command", ["split", "stats", "eval"])
+    @pytest.mark.parametrize("edit", [
+        lambda payload: 5,
+        lambda payload: {**payload, "candidate_regions": [["o1", {}]]},
+        _first_region_list_broken,
+        _distractor_without_regions,
+    ], ids=["non-object", "regions-not-an-object", "region-not-a-pair", "image-without-regions"])
+    def test_exits_3_naming_the_line(self, pipeline_dir, tmp_path, caplog, command, edit):
+        first, second = read_lines(pipeline_dir / "instances.jsonl")[:2]
+        path = tmp_path / "instances.jsonl"
+        path.write_text("".join(json.dumps(p) + "\n" for p in (first, edit(second))))
+        extra = {
+            "split": ["--out-dir", str(tmp_path / "split")],
+            "stats": ["--json"],
+            "eval": ["--scorer", "constant"],
+        }[command]
+        with caplog.at_level(logging.ERROR, logger="refsynth"):
+            code = main([command, "--instances", str(path), *extra])
+        assert code == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and f"{path}:2:" in errors[0]
 
 
 class TestSplit:
@@ -222,6 +281,20 @@ class TestEval:
         assert set(payload["settings"]) == {"Full", "WithoutDist"}
 
 
+    @pytest.mark.parametrize("child", [
+        "import sys\nsys.stdin.readline()\nprint('{\"score\": 0.5}', flush=True)\n",
+        "import sys\nfor line in sys.stdin:\n    print('{\"score\": \"high\"}', flush=True)\n",
+    ], ids=["dies", "non-number"])
+    def test_failing_command_scorer_exits_3(self, pipeline_dir, tmp_path, child):
+        script = tmp_path / "child.py"
+        script.write_text(child)
+        code = main([
+            "eval", "--instances", str(pipeline_dir / "instances.jsonl"),
+            "--command", shlex.join([sys.executable, str(script)]),
+        ])
+        assert code == 3
+
+
 class TestMineDemo:
     def test_synthetic_demo_reports_refreshes(self, capsys):
         assert main([
@@ -276,6 +349,26 @@ class TestConfigHandling:
             "--config", str(config),
         ]) == 0
         assert out.read_bytes() == (pipeline_dir / "expressions.jsonl").read_bytes()
+
+
+class TestStartUp:
+    def test_importing_the_cli_does_not_load_numpy(self):
+        src = os.path.dirname(os.path.dirname(refsynth.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, refsynth.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+    def test_mining_names_are_still_exported(self):
+        from refsynth import mining
+
+        assert refsynth.build_sampling_table is mining.build_sampling_table
+        assert "SamplingTable" in refsynth.__all__
+        with pytest.raises(AttributeError):
+            refsynth.no_such_name
 
 
 class TestConsoleScript:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import sys
 import textwrap
+import threading
+from collections import Counter
 
 import pytest
 
@@ -17,6 +20,7 @@ from refsynth.evaluation import (
     HashRandomScorer,
     OracleScorer,
     Setting,
+    SettingResult,
     SubprocessScorer,
     evaluate,
     format_report,
@@ -25,8 +29,82 @@ from refsynth.evaluation import (
     select_region,
     setting_images,
 )
+from refsynth.util import hash_uniform
 
 from .oracles import brute_force_select
+
+# Child scorer programs; each flushes after every answer.
+HASH_CHILD = textwrap.dedent(
+    """
+    import json, sys
+    for line in sys.stdin:
+        request = json.loads(line)
+        for key in ("box", "expr_id", "image_id", "object_id", "text"):
+            assert key in request, key
+        value = (len(request["image_id"]) * 7 + len(request["object_id"])) % 13
+        print(json.dumps({"score": value / 13}))
+        sys.stdout.flush()
+    """
+)
+# Answers two requests, then exits with the rest of the instance unread.
+DYING_CHILD = textwrap.dedent(
+    """
+    import sys
+    for _ in range(2):
+        sys.stdin.readline()
+        print('{"score": 0.5}')
+        sys.stdout.flush()
+    """
+)
+# Answers its first request with a string, then stops reading but stays alive.
+NON_NUMBER_CHILD = textwrap.dedent(
+    """
+    import sys, time
+    sys.stdin.readline()
+    print('{"score": "high"}')
+    sys.stdout.flush()
+    time.sleep(60)
+    """
+)
+
+
+def writer_threads():
+    return [t for t in threading.enumerate() if t.name == "refsynth-scorer-writer"]
+
+
+def run_bounded(fn, timeout=30.0):
+    """Run fn in a thread; fail if it does not finish in time; return what it raised."""
+    outcome = {}
+
+    def body():
+        try:
+            fn()
+        except BaseException as exc:  # handed to the test thread, which asserts on it
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=body)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "scoring hung"
+    return outcome.get("error")
+
+
+class CountingScorer:
+    """Counts requests per (expr_id, image_id, object_id); scores by hash."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def score(self, expression, image_id, object_id, box):
+        self.calls[(expression.expr_id, image_id, object_id)] += 1
+        return hash_uniform(3, expression.expr_id, image_id, object_id)
+
+
+class TiedScorer:
+    """Seeded scores rounded to quarters, so most instances hold ties."""
+
+    def score(self, expression, image_id, object_id, box):
+        return round(hash_uniform(9, expression.expr_id, image_id, object_id) * 4) / 4
 
 
 class TestSettings:
@@ -131,19 +209,7 @@ class TestFileScorer:
 
 class TestSubprocessScorer:
     def test_line_json_protocol(self, instances):
-        child = textwrap.dedent(
-            """
-            import json, sys
-            for line in sys.stdin:
-                request = json.loads(line)
-                for key in ("box", "expr_id", "image_id", "object_id", "text"):
-                    assert key in request, key
-                value = (len(request["image_id"]) * 7 + len(request["object_id"])) % 13
-                print(json.dumps({"score": value / 13}))
-                sys.stdout.flush()
-            """
-        )
-        with SubprocessScorer([sys.executable, "-c", child]) as scorer:
+        with SubprocessScorer([sys.executable, "-c", HASH_CHILD]) as scorer:
             report = evaluate(instances[:5], scorer, settings=(Setting.FULL,))
         assert report.settings[Setting.FULL].overall.total == 5
 
@@ -153,11 +219,117 @@ class TestSubprocessScorer:
             with pytest.raises(DataError):
                 evaluate(instances[:1], scorer, settings=(Setting.FULL,))
 
+    def test_requests_arrive_once_each_in_first_seen_order(self, instances, tmp_path):
+        log = tmp_path / "requests.jsonl"
+        child = HASH_CHILD.replace(
+            "for line in sys.stdin:",
+            f"log = open({str(log)!r}, 'w')\nfor line in sys.stdin:\n    log.write(line); log.flush()",
+        )
+        settings = (Setting.CAT_ONLY, Setting.WITHOUT_DIST, Setting.DIFF_CAT_ONLY)
+        with SubprocessScorer([sys.executable, "-c", child]) as scorer:
+            evaluate(instances[:3], scorer, settings=settings)
+        seen = [json.loads(line) for line in log.read_text().splitlines()]
+        expected = []
+        for instance in instances[:3]:
+            pool = dict.fromkeys(i for s in settings for i in setting_images(instance, s))
+            for image_id in pool:
+                for object_id, box in instance.candidate_regions[image_id]:
+                    expected.append({
+                        "box": box.to_jsonable(),
+                        "expr_id": instance.expression.expr_id,
+                        "image_id": image_id,
+                        "object_id": object_id,
+                        "text": instance.expression.text,
+                    })
+        assert seen == expected
+
+    def test_report_equals_the_per_region_reference(self, instances):
+        with SubprocessScorer([sys.executable, "-c", HASH_CHILD]) as scorer:
+            piped = evaluate(instances[:8], scorer).to_jsonable()
+
+        class PerRegion:
+            def score(self, expression, image_id, object_id, box):
+                return (len(image_id) * 7 + len(object_id)) % 13 / 13
+
+        assert piped == evaluate(instances[:8], PerRegion()).to_jsonable()
+
+    @pytest.mark.parametrize("child", [DYING_CHILD, NON_NUMBER_CHILD], ids=["dies", "non-number"])
+    def test_failing_child_raises_without_hanging(self, instances, child):
+        # Long texts make one instance's requests overfill the pipe, so the
+        # writer is still blocked when the child stops reading.
+        instance = instances[0]
+        long = dataclasses.replace(instance, expression=dataclasses.replace(
+            instance.expression, text="x" * 4000))
+        before = len(writer_threads())
+        with SubprocessScorer([sys.executable, "-c", child]) as scorer:
+            error = run_bounded(lambda: evaluate([long], scorer, settings=(Setting.FULL,)))
+        assert isinstance(error, DataError), error
+        assert len(writer_threads()) == before
+
 
 class TestEvaluate:
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInput):
             evaluate([], ConstantScorer())
+
+    @pytest.mark.parametrize("settings", [
+        tuple(Setting),
+        (Setting.CAT_ONLY, Setting.DIFF_CAT_ONLY),
+        (Setting.WITHOUT_DIST,),
+    ], ids=["all", "two", "without-dist"])
+    def test_each_region_is_scored_once(self, instances, settings):
+        scorer = CountingScorer()
+        evaluate(instances, scorer, settings)
+        expected = {
+            (instance.expression.expr_id, image_id, object_id)
+            for instance in instances
+            for setting in settings
+            for image_id in setting_images(instance, setting)
+            for object_id, _ in instance.candidate_regions[image_id]
+        }
+        assert set(scorer.calls) == expected
+        assert set(scorer.calls.values()) == {1}
+
+    def test_equals_the_per_setting_reference_under_ties(self, instances):
+        scorer = TiedScorer()
+        expected = {setting: SettingResult() for setting in Setting}
+        ties = 0
+        for instance in instances:
+            expr = instance.expression
+            for setting in Setting:
+                triples = [
+                    (image_id, object_id, scorer.score(expr, image_id, object_id, box))
+                    for image_id in setting_images(instance, setting)
+                    for object_id, box in instance.candidate_regions[image_id]
+                ]
+                top = max(value for _, _, value in triples)
+                ties += sum(value == top for _, _, value in triples) > 1
+                chosen = brute_force_select(triples)
+                assert select_region(instance, scorer, setting) == chosen
+                expected[setting].record(
+                    expr.form.value, length_bucket(expr.word_count),
+                    chosen == (instance.target_image, expr.target_id))
+        assert ties > len(instances)
+        report = evaluate(instances, scorer)
+        assert report.to_jsonable()["settings"] == {
+            s.value: r.to_jsonable() for s, r in expected.items()}
+
+    def test_without_dist_scores_only_the_target_image(self, instances):
+        table = {
+            score_key(instance.expression.expr_id, instance.target_image, object_id): 0.0
+            for instance in instances
+            for object_id, _ in instance.candidate_regions[instance.target_image]
+        }
+        report = evaluate(instances, FileScorer(table), settings=(Setting.WITHOUT_DIST,))
+        assert report.settings[Setting.WITHOUT_DIST].overall.total == len(instances)
+
+    def test_a_batch_of_the_wrong_length_is_rejected(self, instances):
+        class ShortBatch:
+            def score_batch(self, expression, regions):
+                return [0.0] * (len(regions) - 1)
+
+        with pytest.raises(DataError):
+            evaluate(instances[:1], ShortBatch())
 
     def test_slices_partition_the_totals(self, corpus, lexicon, instances):
         report = evaluate(instances, OracleScorer(corpus, lexicon), settings=(Setting.FULL,))
