@@ -159,8 +159,8 @@ def expression_length(text: str) -> int:
 
 def compute_stats(
     corpus: Corpus | None = None,
-    expressions: Sequence[ExpressionRecord] = (),
-    instances: Sequence[TaskInstance] = (),
+    expressions: Iterable[ExpressionRecord] = (),
+    instances: Iterable[TaskInstance] = (),
     top_k: int = 20,
 ) -> DatasetStats:
     """Aggregate statistics; any of the three inputs may be omitted.
@@ -168,11 +168,9 @@ def compute_stats(
     Raises EmptyInput when nothing at all was provided.  Expression-level
     numbers fall back to the expressions embedded in instances when no
     separate expression list is given.  Candidate counts need instances;
-    same-category candidate counts additionally need the corpus.
+    same-category candidate counts additionally need the corpus.  The
+    expressions, then the instances, are read once each and not kept.
     """
-    if (corpus is None or not corpus.graphs) and not expressions and not instances:
-        raise EmptyInput("nothing to compute statistics over")
-
     image_count = region_count = 0
     categories: Counter[str] = Counter()
     attributes: Counter[str] = Counter()
@@ -187,29 +185,31 @@ def compute_stats(
             for edge in graph.edges:
                 relations[edge.predicate] += 1
 
-    records = list(expressions) if expressions else [inst.expression for inst in instances]
-    per_form: Counter[str] = Counter(r.form.value for r in records)
-    vocabulary = {surface for r in records for surface, _ in r.tokens}
-    avg_len = (
-        sum(expression_length(r.text) for r in records) / len(records) if records else None
-    )
+    per_form: Counter[str] = Counter()
+    vocabulary: set[str] = set()
+    expression_count = word_count = 0
 
-    avg_candidates = avg_same_category = None
-    if instances:
-        totals = [
-            sum(len(regions) for regions in inst.candidate_regions.values())
-            for inst in instances
-        ]
-        avg_candidates = sum(totals) / len(instances)
+    def tally(record: ExpressionRecord) -> None:
+        nonlocal expression_count, word_count
+        expression_count += 1
+        word_count += expression_length(record.text)
+        per_form[record.form.value] += 1
+        vocabulary.update(surface for surface, _ in record.tokens)
+
+    for record in expressions:
+        tally(record)
+    from_instances = not expression_count
+    instance_count = candidate_count = same_count = 0
+    for inst in instances:
+        instance_count += 1
+        if from_instances:
+            tally(inst.expression)
+        candidate_count += sum(len(regions) for regions in inst.candidate_regions.values())
         if corpus is not None:
-            same_totals = []
-            for inst in instances:
-                target_category = inst.expression.tree.root.category
-                count = 0
-                for image_id in inst.candidate_regions:
-                    count += len(corpus.graphs[image_id].nodes_of_category(target_category))
-                same_totals.append(count)
-            avg_same_category = sum(same_totals) / len(instances)
+            category = inst.expression.tree.root.category
+            same_count += sum(len(corpus.graphs[i].nodes_of_category(category)) for i in inst.candidate_regions)
+    if not image_count and not expression_count and not instance_count:
+        raise EmptyInput("nothing to compute statistics over")
 
     def top(counter: Counter[str]) -> list[tuple[str, int]]:
         return sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
@@ -220,12 +220,14 @@ def compute_stats(
         category_count=len(categories),
         attribute_count=len(attributes),
         relation_count=len(relations),
-        expression_count=len(records),
-        avg_expression_length=avg_len,
+        expression_count=expression_count,
+        avg_expression_length=word_count / expression_count if expression_count else None,
         vocab_size=len(vocabulary),
         per_form=dict(sorted(per_form.items())),
-        avg_candidates=avg_candidates,
-        avg_same_category_candidates=avg_same_category,
+        avg_candidates=candidate_count / instance_count if instance_count else None,
+        avg_same_category_candidates=(
+            same_count / instance_count if instance_count and corpus is not None else None
+        ),
         top_categories=top(categories),
         top_attributes=top(attributes),
         top_relations=top(relations),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import functools
 import json
 import logging
@@ -23,7 +24,7 @@ import math
 import os
 import shlex
 import sys
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 from .balance import compute_stats, format_stats_table, is_spatial_only, relation_weights, split
 from .config import load_config
@@ -57,11 +58,9 @@ from .scene_graph import (
     load_synonyms,
     target_exclusion_reason,
 )
-from .util import derive_rng, hash_uniform
+from .util import derive_rng, hash_uniform, read_jsonl
 
 log = logging.getLogger("refsynth")
-
-T = TypeVar("T")
 
 
 def _setup_logging(verbose: bool) -> None:
@@ -83,33 +82,6 @@ def _write_jsonl(path: str, payloads: Iterable[dict]) -> int:
             handle.write(json.dumps(payload, sort_keys=True) + "\n")
             count += 1
     return count
-
-
-def _read_jsonl(path: str) -> dict[int, dict]:
-    """Line number -> parsed object, for every non-blank line."""
-    out = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out[lineno] = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno} is not valid JSON") from exc
-    return out
-
-
-def _parsed(path: str, lineno: int, parse: Callable[[object], T], payload: object) -> T:
-    """Parse one line's object; a malformed one names its ``path:line``."""
-    try:
-        return parse(payload)
-    except DataError as exc:
-        raise DataError(f"{path}:{lineno}: {exc}") from exc
-
-
-def _read_records(path: str, parse: Callable[[object], T]) -> list[T]:
-    return [_parsed(path, lineno, parse, payload) for lineno, payload in _read_jsonl(path).items()]
 
 
 def _load_synonyms(path: str | None) -> SynonymTable:
@@ -236,19 +208,34 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _checked_expression(path: str, lineno: int, payload: dict, corpus: Corpus,
-                        lexicon: dict[str, str]) -> ExpressionRecord:
-    """Parse one expression line and check it against the corpus it claims."""
-    record = _parsed(path, lineno, ExpressionRecord.from_jsonable, payload)
-    where = f"{path}:{lineno}: expression {record.expr_id!r}"
-    graph = corpus.graphs.get(record.image_id)
-    if graph is None:
-        raise DataError(f"{where}: image {record.image_id!r} is not in the corpus")
+def _target_graph(corpus: Corpus, record: ExpressionRecord, images: Sequence[str]) -> SceneGraph:
+    """Graph of ``images[0]``, which must hold the record's target; all ``images`` must be in the corpus."""
+    where = f"expression {record.expr_id!r}"
+    for image_id in images:
+        if image_id not in corpus.graphs:
+            raise DataError(f"{where}: image {image_id!r} is not in the corpus")
+    graph = corpus.graphs[images[0]]
     if record.target_id not in graph.node_by_id:
-        raise DataError(f"{where}: object {record.target_id!r} is not in image {record.image_id!r}")
+        raise DataError(f"{where}: object {record.target_id!r} is not in image {images[0]!r}")
+    return graph
+
+
+def _checked_expression(corpus: Corpus, lexicon: dict[str, str], payload: object) -> ExpressionRecord:
+    """Parse one expression line and check it against the corpus it claims."""
+    record = ExpressionRecord.from_jsonable(payload)
+    graph = _target_graph(corpus, record, (record.image_id,))
     if match(record.tree, graph, lexicon) != {record.target_id}:
-        raise DataError(f"{where}: its tree does not match exactly its target {record.target_id!r}")
+        raise DataError(f"expression {record.expr_id!r}: its tree does not match exactly its target "
+                        f"{record.target_id!r}")
     return record
+
+
+def _checked_instance(corpus: Corpus | None, payload: object) -> TaskInstance:
+    """Parse one instance line; with a corpus, also check every image it names."""
+    instance = TaskInstance.from_jsonable(payload)
+    if corpus is not None:
+        _target_graph(corpus, instance.expression, (instance.target_image, *instance.candidate_regions))
+    return instance
 
 
 def cmd_distract(args: argparse.Namespace) -> int:
@@ -256,13 +243,9 @@ def cmd_distract(args: argparse.Namespace) -> int:
     synonyms = _load_synonyms(args.synonyms)
     lexicon = _load_lexicon(args.lexicon)
     corpus = load_corpus_path(args.corpus, synonyms)
-    payloads = _read_jsonl(args.expressions)
-    if not payloads:
+    records = list(read_jsonl(args.expressions, functools.partial(_checked_expression, corpus, lexicon)))
+    if not records:
         raise EmptyInput(f"no expressions in {args.expressions}")
-    records = [
-        _checked_expression(args.expressions, lineno, payload, corpus, lexicon)
-        for lineno, payload in payloads.items()
-    ]
 
     instances: list[TaskInstance] = []
     discarded: list[dict] = []
@@ -307,7 +290,7 @@ def cmd_split(args: argparse.Namespace) -> int:
             raise ConfigError(f"bad --ratios value {args.ratios!r}") from exc
         ratios = parts
     config = load_config(args.config, seed=args.seed, split_ratios=ratios)
-    instances = _read_records(args.instances, TaskInstance.from_jsonable)
+    instances = list(read_jsonl(args.instances, TaskInstance.from_jsonable))
     if not instances:
         raise EmptyInput(f"no instances in {args.instances}")
     train, val, test = split(instances, config.split_ratios, config.seed)
@@ -329,12 +312,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     corpus = None
     if args.corpus:
         corpus = load_corpus_path(args.corpus, _load_synonyms(args.synonyms))
-    expressions = ()
-    if args.expressions:
-        expressions = tuple(_read_records(args.expressions, ExpressionRecord.from_jsonable))
-    instances = ()
-    if args.instances:
-        instances = tuple(_read_records(args.instances, TaskInstance.from_jsonable))
+    expressions = read_jsonl(args.expressions, ExpressionRecord.from_jsonable) if args.expressions else ()
+    instances = read_jsonl(args.instances, functools.partial(_checked_instance, corpus)) if args.instances else ()
     stats = compute_stats(corpus, expressions, instances, top_k=args.top_k)
     if args.json:
         _print_summary(stats.to_jsonable())
@@ -343,42 +322,36 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_scorer(args: argparse.Namespace, corpus, lexicon):
+def _build_scorer(args: argparse.Namespace, corpus, lexicon) -> contextlib.AbstractContextManager:
+    """The chosen scorer, as a context manager that yields it."""
     sources = [s for s in (args.scorer, args.scores_file, args.command) if s]
     if len(sources) > 1:
         raise ConfigError("choose one of --scorer, --scores-file, --command")
     if args.scores_file:
         with open(args.scores_file, "r", encoding="utf-8") as handle:
-            return FileScorer.load(handle), None
+            return contextlib.nullcontext(FileScorer.load(handle))
     if args.command:
-        return None, shlex.split(args.command)
+        return SubprocessScorer(shlex.split(args.command))
     name = args.scorer or "oracle"
     if name == "oracle":
         if corpus is None:
             raise ConfigError("the oracle scorer needs --corpus")
-        return OracleScorer(corpus, lexicon), None
+        return contextlib.nullcontext(OracleScorer(corpus, lexicon))
     if name == "constant":
-        return ConstantScorer(), None
+        return contextlib.nullcontext(ConstantScorer())
     if name == "hash-random":
-        return HashRandomScorer(args.seed or 0), None
+        return contextlib.nullcontext(HashRandomScorer(args.seed or 0))
     raise ConfigError(f"unknown scorer {name!r}")
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    instances = _read_records(args.instances, TaskInstance.from_jsonable)
-    if not instances:
-        raise EmptyInput(f"no instances in {args.instances}")
     corpus = None
     if args.corpus:
         corpus = load_corpus_path(args.corpus, _load_synonyms(args.synonyms))
     lexicon = _load_lexicon(args.lexicon)
     settings = tuple(Setting(s) for s in args.settings) if args.settings else tuple(Setting)
-
-    scorer, command = _build_scorer(args, corpus, lexicon)
-    if command is not None:
-        with SubprocessScorer(command) as sub:
-            report = evaluate(instances, sub, settings)
-    else:
+    instances = read_jsonl(args.instances, functools.partial(_checked_instance, corpus))
+    with _build_scorer(args, corpus, lexicon) as scorer:
         report = evaluate(instances, scorer, settings)
 
     if args.json:

@@ -85,14 +85,17 @@ class OracleScorer:
     def __init__(self, corpus: Corpus, lexicon: Mapping[str, str] | None = None) -> None:
         self.corpus = corpus
         self.lexicon = lexicon
-        self._cache: dict[tuple[str, str], frozenset[str]] = {}
+        # Regions arrive image by image, so only the latest match is kept.
+        self._key: tuple[str, str] | None = None
+        self._matched: frozenset[str] = frozenset()
 
     def score(self, expression, image_id, object_id, box):
         key = (expression.expr_id, image_id)
-        if key not in self._cache:
+        if key != self._key:
             graph = self.corpus.graphs[image_id]
-            self._cache[key] = frozenset(match(expression.tree, graph, self.lexicon))
-        return 1.0 if object_id in self._cache[key] else 0.0
+            self._matched = frozenset(match(expression.tree, graph, self.lexicon))
+            self._key = key
+        return 1.0 if object_id in self._matched else 0.0
 
 
 class ConstantScorer:
@@ -388,7 +391,7 @@ class EvaluationReport:
 
 
 def evaluate(
-    instances: Sequence[TaskInstance],
+    instances: Iterable[TaskInstance],
     scorer: RegionScorer,
     settings: Sequence[Setting] = tuple(Setting),
 ) -> EvaluationReport:
@@ -396,11 +399,12 @@ def evaluate(
 
     Each instance's pool, the images of all requested settings, is scored
     once; every setting is then an argmax over its share of those scores.
+    ``instances`` may be any iterable; it is read once and no instance is kept.
     """
-    if not instances:
-        raise EmptyInput("no task instances to evaluate")
     results = {setting: SettingResult() for setting in settings}
+    count = 0
     for instance in instances:
+        count += 1
         expr = instance.expression
         bucket = length_bucket(expr.word_count)
         answer = (instance.target_image, expr.target_id)
@@ -409,7 +413,9 @@ def evaluate(
         for setting, image_ids in zip(settings, per_setting):
             chosen = _argmax(instance, image_ids, scores)
             results[setting].record(expr.form.value, bucket, chosen == answer)
-    return EvaluationReport(settings=results, instance_count=len(instances))
+    if not count:
+        raise EmptyInput("no task instances to evaluate")
+    return EvaluationReport(settings=results, instance_count=count)
 
 
 def format_report(report: EvaluationReport) -> str:

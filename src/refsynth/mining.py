@@ -29,6 +29,7 @@ from .errors import (
     ZeroNorm,
     EmptyInput,
 )
+from .util import parse_jsonl
 
 MODULE_NAMES = ("subject", "location", "relation")
 DEFAULT_MARGIN = 0.1
@@ -86,17 +87,8 @@ def write_embeddings(embeddings: Iterable[ModularEmbedding], sink: IO) -> int:
 
 
 def read_embeddings(source: IO) -> list[ModularEmbedding]:
-    out = []
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"embeddings line {lineno} is not valid JSON") from exc
-        out.append(ModularEmbedding.from_jsonable(payload))
-    return out
+    name = getattr(source, "name", "embeddings")
+    return list(parse_jsonl(source, name, ModularEmbedding.from_jsonable))
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

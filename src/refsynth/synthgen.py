@@ -10,14 +10,12 @@ Everything is a pure function of the seed.
 
 from __future__ import annotations
 
-import io
-import json
 import random
 
 import numpy as np
 
 from .mining import MODULE_NAMES, ModularEmbedding
-from .scene_graph import Corpus, load_corpus
+from .scene_graph import Corpus
 
 CATEGORY_ATTRIBUTE_POOLS: dict[str, tuple[str, ...]] = {
     "bag": ("leather", "black", "green"),
@@ -115,12 +113,6 @@ def make_corpus_payload(
             objects[subject]["relations"].append({"name": predicate, "object": target})
         payload[image_id] = {"width": width, "height": height, "objects": objects}
     return payload
-
-
-def make_corpus(seed: int, image_count: int = 20) -> Corpus:
-    """Generate a payload and run it through the real loading path."""
-    payload = make_corpus_payload(seed, image_count)
-    return load_corpus(io.StringIO(json.dumps(payload)))
 
 
 def make_embeddings(

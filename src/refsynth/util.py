@@ -1,12 +1,44 @@
-"""Small shared helpers: deterministic rng derivation, weighted choice, ordinals."""
+"""Small shared helpers: JSONL reading, rng derivation, weighted choice, ordinals."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
-from typing import Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+from .errors import DataError
 
 T = TypeVar("T")
+
+
+def parse_jsonl(lines: Iterable[str | bytes], name: str, parse: Callable[[object], T]) -> Iterator[T]:
+    """Decode and parse each non-blank line as it is read.
+
+    A line that is not UTF-8 JSON, or whose object ``parse`` rejects with a
+    :class:`DataError`, stops the read with a ``DataError`` naming
+    ``name:line``; the records before it have already been yielded.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = parse(json.loads(line))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataError(f"{name}:{lineno} is not valid JSON") from exc
+        except DataError as exc:
+            raise DataError(f"{name}:{lineno}: {exc}") from exc
+        yield record
+
+
+def read_jsonl(path: str, parse: Callable[[object], T]) -> Iterator[T]:
+    """:func:`parse_jsonl` over a file, held open while the generator runs.
+
+    Lines are read as bytes, so a line that is not UTF-8 is named like any
+    other bad line."""
+    with open(path, "rb") as handle:
+        yield from parse_jsonl(handle, path, parse)
 
 
 def derive_rng(seed: int, *keys: object) -> random.Random:

@@ -172,6 +172,20 @@ class TestStats:
         assert stats.avg_candidates == pytest.approx(expected)
         assert stats.avg_same_category_candidates > 0
 
+    def test_iterators_give_the_stats_of_the_lists(self, corpus, expressions, instances):
+        assert compute_stats(corpus, iter(expressions), iter(instances)) == compute_stats(
+            corpus, expressions, instances)
+        # Without expressions, expression numbers come from the instances.
+        from_instances = compute_stats(corpus, instances=iter(instances))
+        assert from_instances == compute_stats(corpus, instances=instances)
+        assert from_instances.expression_count == len(instances)
+
+    def test_empty_iterators_are_rejected(self):
+        with pytest.raises(EmptyInput):
+            compute_stats(instances=iter([]))
+        with pytest.raises(EmptyInput):
+            compute_stats(expressions=iter([]), instances=iter([]))
+
     def test_table_rendering_mentions_the_headline_numbers(self, corpus):
         stats = compute_stats(corpus)
         table = format_stats_table(stats)

@@ -206,6 +206,48 @@ class TestMalformedInstances:
         assert len(errors) == 1 and f"{path}:2:" in errors[0]
 
 
+def _cat_distractor_renamed(payload):
+    old = payload["distractors"]["Cat"][0]
+    payload["distractors"]["Cat"][0] = "no-such-image"
+    payload["candidate_regions"]["no-such-image"] = payload["candidate_regions"].pop(old)
+    return payload
+
+
+def _target_image_renamed(payload):
+    old = payload["target_image"]
+    payload["target_image"] = "no-such-image"
+    payload["candidate_regions"]["no-such-image"] = payload["candidate_regions"].pop(old)
+    return payload
+
+
+def _target_id_unknown(payload):
+    payload["expression"]["target_id"] = "no-such-object"
+    return payload
+
+
+class TestInstancesAgainstTheCorpus:
+    """With --corpus, stats and eval reject instances the corpus contradicts."""
+
+    @pytest.mark.parametrize("command", [
+        ["stats", "--json"],
+        ["eval", "--scorer", "oracle"],
+        ["eval", "--scorer", "constant"],
+    ], ids=["stats", "eval-oracle", "eval-constant"])
+    @pytest.mark.parametrize("edit", [
+        _cat_distractor_renamed, _target_image_renamed, _target_id_unknown,
+    ], ids=["unknown-distractor", "unknown-target-image", "unknown-target-object"])
+    def test_exits_3_naming_the_line(self, pipeline_dir, tmp_path, caplog, command, edit):
+        first, second = read_lines(pipeline_dir / "instances.jsonl")[:2]
+        path = tmp_path / "instances.jsonl"
+        path.write_text("".join(json.dumps(p) + "\n" for p in (first, edit(second))))
+        with caplog.at_level(logging.ERROR, logger="refsynth"):
+            code = main([*command, "--instances", str(path), "--corpus", CORPUS_PATH])
+        assert code == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and f"{path}:2:" in errors[0]
+        assert second["expression"]["expr_id"] in errors[0]
+
+
 class TestSplit:
     def test_partitions_cover_everything(self, pipeline_dir, tmp_path):
         assert main([
@@ -262,6 +304,12 @@ class TestEval:
             "--scorer", "oracle",
         ])
         assert code == 2
+
+    def test_oracle_without_corpus_exits_2_before_reading_instances(self, tmp_path):
+        empty = tmp_path / "instances.jsonl"
+        empty.write_text("")
+        assert main(["eval", "--instances", str(empty), "--scorer", "oracle"]) == 2
+        assert main(["eval", "--instances", str(empty), "--scorer", "constant"]) == 4
 
     def test_scores_file_and_scorer_conflict_exits_2(self, pipeline_dir, tmp_path):
         scores = tmp_path / "scores.json"
@@ -369,6 +417,27 @@ class TestStartUp:
         assert "SamplingTable" in refsynth.__all__
         with pytest.raises(AttributeError):
             refsynth.no_such_name
+
+
+class TestPipelineScript:
+    def test_runs_every_stage_into_its_out_dir(self, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.dirname(os.path.dirname(refsynth.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run(
+            [sys.executable, os.path.join(root, "scripts", "run_pipeline.py"),
+             "--corpus", CORPUS_PATH, "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr[-3000:]
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == [
+            "distract.log.json", "expressions.jsonl", "generate.log.json",
+            "instances.jsonl", "test.jsonl", "train.jsonl", "val.jsonl",
+        ]
+        assert sha256(tmp_path / "instances.jsonl") == INSTANCES_SHA256
+        parts = [read_lines(tmp_path / f"{name}.jsonl") for name in ("train", "val", "test")]
+        assert sum(map(len, parts)) == len(read_lines(tmp_path / "instances.jsonl"))
 
 
 class TestConsoleScript:

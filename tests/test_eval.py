@@ -29,6 +29,7 @@ from refsynth.evaluation import (
     select_region,
     setting_images,
 )
+from refsynth.reasoning import match
 from refsynth.util import hash_uniform
 
 from .oracles import brute_force_select
@@ -271,6 +272,37 @@ class TestEvaluate:
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInput):
             evaluate([], ConstantScorer())
+
+    def test_an_empty_iterator_is_rejected(self):
+        with pytest.raises(EmptyInput):
+            evaluate(iter([]), ConstantScorer())
+
+    def test_an_iterator_gives_the_report_of_the_list(self, instances):
+        streamed = evaluate(iter(instances), HashRandomScorer(seed=4)).to_jsonable()
+        assert streamed == evaluate(instances, HashRandomScorer(seed=4)).to_jsonable()
+        assert streamed["instance_count"] == len(instances)
+
+    @pytest.mark.parametrize("settings", [
+        tuple(Setting),
+        (Setting.CAT_ONLY, Setting.DIFF_CAT_ONLY),
+    ], ids=["all", "two"])
+    def test_the_oracle_matches_each_scored_image_once(self, monkeypatch, corpus, lexicon, instances, settings):
+        calls = Counter()
+
+        def counted(tree, graph, lexicon=None):
+            calls[(id(tree), graph.image_id)] += 1
+            return match(tree, graph, lexicon)
+
+        monkeypatch.setattr("refsynth.evaluation.match", counted)
+        evaluate(instances, OracleScorer(corpus, lexicon), settings)
+        expected = {
+            (id(instance.expression.tree), image_id)
+            for instance in instances
+            for setting in settings
+            for image_id in setting_images(instance, setting)
+        }
+        assert set(calls) == expected
+        assert set(calls.values()) == {1}
 
     @pytest.mark.parametrize("settings", [
         tuple(Setting),

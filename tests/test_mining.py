@@ -226,6 +226,13 @@ class TestEmbeddingIO:
         with pytest.raises(DataError):
             read_embeddings(io.StringIO('{"region_id": "r0"}\n'))
 
+    @pytest.mark.parametrize("second", ["{broken", '{"region_id": "r1"}'], ids=["json", "schema"])
+    def test_a_bad_second_line_is_named(self, second):
+        sink = io.StringIO()
+        write_embeddings(trio()[:1], sink)
+        with pytest.raises(DataError, match=r"embeddings:2\b"):
+            read_embeddings(io.StringIO(sink.getvalue() + second + "\n"))
+
     def test_vector_shape_enforced(self):
         with pytest.raises(DimensionMismatch):
             ModularEmbedding(
