@@ -24,7 +24,7 @@ import math
 import os
 import shlex
 import sys
-from typing import Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence, TypeVar
 
 from .balance import compute_stats, format_stats_table, is_spatial_only, relation_weights, split
 from .config import load_config
@@ -58,9 +58,10 @@ from .scene_graph import (
     load_synonyms,
     target_exclusion_reason,
 )
-from .util import derive_rng, hash_uniform, read_jsonl
+from .util import derive_rng, hash_uniform, read_jsonl, write_jsonl
 
 log = logging.getLogger("refsynth")
+T = TypeVar("T")
 
 
 def _setup_logging(verbose: bool) -> None:
@@ -76,33 +77,21 @@ def _print_summary(payload: dict) -> None:
 
 
 def _write_jsonl(path: str, payloads: Iterable[dict]) -> int:
-    count = 0
     with open(path, "w", encoding="utf-8") as handle:
-        for payload in payloads:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
-            count += 1
-    return count
+        return write_jsonl(payloads, handle)
 
 
-def _load_synonyms(path: str | None) -> SynonymTable:
+def _load(path: str | None, loader: Callable[[IO], T], default: Callable[[], T] | None = None) -> T:
+    """``loader`` over the file at ``path``, read as bytes; ``default()`` when no path is given."""
     if path is None:
-        return SynonymTable.empty()
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_synonyms(handle)
+        return default()
+    with open(path, "rb") as handle:
+        return loader(handle)
 
 
-def _load_lexicon(path: str | None) -> dict[str, str]:
-    if path is None:
-        return default_attribute_lexicon()
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_attribute_lexicon(handle)
-
-
-def _load_templates(path: str | None):
-    if path is None:
-        return default_templates()
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_templates(handle)
+def _load_corpus(args: argparse.Namespace) -> Corpus:
+    """The ``--corpus`` file, canonicalized through the ``--synonyms`` table."""
+    return load_corpus_path(args.corpus, _load(args.synonyms, load_synonyms, SynonymTable.empty))
 
 
 def _expressions_for_image(
@@ -130,9 +119,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
         workers=args.workers,
         max_per_region=args.max_per_region,
     )
-    synonyms = _load_synonyms(args.synonyms)
-    lexicon = _load_lexicon(args.lexicon)
-    templates = _load_templates(args.templates)
+    synonyms = _load(args.synonyms, load_synonyms, SynonymTable.empty)
+    lexicon = _load(args.lexicon, load_attribute_lexicon, default_attribute_lexicon)
+    templates = _load(args.templates, load_templates, default_templates)
     corpus = load_corpus_path(args.corpus, synonyms)
 
     try:
@@ -240,9 +229,8 @@ def _checked_instance(corpus: Corpus | None, payload: object) -> TaskInstance:
 
 def cmd_distract(args: argparse.Namespace) -> int:
     config = load_config(args.config, seed=args.seed, per_type=args.per_type)
-    synonyms = _load_synonyms(args.synonyms)
-    lexicon = _load_lexicon(args.lexicon)
-    corpus = load_corpus_path(args.corpus, synonyms)
+    lexicon = _load(args.lexicon, load_attribute_lexicon, default_attribute_lexicon)
+    corpus = _load_corpus(args)
     records = list(read_jsonl(args.expressions, functools.partial(_checked_expression, corpus, lexicon)))
     if not records:
         raise EmptyInput(f"no expressions in {args.expressions}")
@@ -309,9 +297,9 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    corpus = None
-    if args.corpus:
-        corpus = load_corpus_path(args.corpus, _load_synonyms(args.synonyms))
+    if args.top_k < 0:
+        raise ConfigError(f"--top-k must be at least 0, got {args.top_k}")
+    corpus = _load_corpus(args) if args.corpus else None
     expressions = read_jsonl(args.expressions, ExpressionRecord.from_jsonable) if args.expressions else ()
     instances = read_jsonl(args.instances, functools.partial(_checked_instance, corpus)) if args.instances else ()
     stats = compute_stats(corpus, expressions, instances, top_k=args.top_k)
@@ -328,8 +316,7 @@ def _build_scorer(args: argparse.Namespace, corpus, lexicon) -> contextlib.Abstr
     if len(sources) > 1:
         raise ConfigError("choose one of --scorer, --scores-file, --command")
     if args.scores_file:
-        with open(args.scores_file, "r", encoding="utf-8") as handle:
-            return contextlib.nullcontext(FileScorer.load(handle))
+        return contextlib.nullcontext(_load(args.scores_file, FileScorer.load))
     if args.command:
         return SubprocessScorer(shlex.split(args.command))
     name = args.scorer or "oracle"
@@ -345,10 +332,8 @@ def _build_scorer(args: argparse.Namespace, corpus, lexicon) -> contextlib.Abstr
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    corpus = None
-    if args.corpus:
-        corpus = load_corpus_path(args.corpus, _load_synonyms(args.synonyms))
-    lexicon = _load_lexicon(args.lexicon)
+    corpus = _load_corpus(args) if args.corpus else None
+    lexicon = _load(args.lexicon, load_attribute_lexicon, default_attribute_lexicon)
     settings = tuple(Setting(s) for s in args.settings) if args.settings else tuple(Setting)
     instances = read_jsonl(args.instances, functools.partial(_checked_instance, corpus))
     with _build_scorer(args, corpus, lexicon) as scorer:
@@ -373,12 +358,12 @@ def cmd_mine_demo(args: argparse.Namespace) -> int:
     )
     from .synthgen import embeddings_for_corpus, make_embeddings
 
-    if args.iterations < 1:
-        raise ConfigError(f"--iterations must be at least 1, got {args.iterations}")
+    for flag in ("iterations", "regions", "dim"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     config = load_config(args.config, seed=args.seed, margin=args.margin)
     if args.corpus:
-        corpus = load_corpus_path(args.corpus, _load_synonyms(args.synonyms))
-        embeddings = embeddings_for_corpus(corpus, config.seed, dim=args.dim)
+        embeddings = embeddings_for_corpus(_load_corpus(args), config.seed, dim=args.dim)
     else:
         embeddings = make_embeddings(
             config.seed, count=args.regions, dim=args.dim, category_count=max(2, args.regions // 16)
@@ -431,11 +416,10 @@ def cmd_mine_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_schema_check(args: argparse.Namespace) -> int:
-    corpus = load_corpus_path(args.corpus, _load_synonyms(args.synonyms))
-    corpus.verify_index()
+    corpus = _load_corpus(args)
     _print_summary(
         {
-            "categories": len(corpus.category_index),
+            "categories": len(corpus.images_by_category),
             "images": len(corpus.graphs),
             "ok": True,
             "regions": sum(len(g.nodes) for g in corpus.graphs.values()),

@@ -8,10 +8,10 @@ rejected so typos fail loudly instead of silently running with defaults.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
-from .errors import ConfigError, MalformedDocument
+from .errors import ConfigError
+from .util import load_json
 
 _RATIO_FIELDS = ("min_area_ratio", "synonym_probability", "compose_probability")
 _POSITIVE_INT_FIELDS = ("max_per_region", "parse_budget", "per_type", "refresh_interval", "workers")
@@ -39,12 +39,10 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
+            with open(path, "rb") as handle:
+                data = load_json(handle, "config file")
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise MalformedDocument(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}

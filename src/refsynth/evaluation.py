@@ -24,7 +24,7 @@ from .errors import DataError, KeyMismatch, NoCandidates, EmptyInput
 from .expression import ExpressionRecord
 from .reasoning import match
 from .scene_graph import BoundingBox, Corpus
-from .util import hash_uniform
+from .util import hash_uniform, load_json
 
 
 class Setting(str, Enum):
@@ -140,7 +140,7 @@ class FileScorer:
 
     @classmethod
     def load(cls, source: IO) -> "FileScorer":
-        data = json.load(source)
+        data = load_json(source, "scores file")
         if not isinstance(data, dict):
             raise DataError("scores file must be a JSON object")
         table = {}

@@ -9,7 +9,6 @@ everything but nouns and adjectives) without re-parsing any text.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass, field, replace
@@ -17,7 +16,7 @@ from enum import Enum
 from importlib import resources
 from typing import IO, Mapping, Sequence
 
-from .errors import MalformedDocument, SchemaViolation, SlotMismatch
+from .errors import SchemaViolation, SlotMismatch
 from .reasoning import (
     EDGE_RELATION,
     SAME_ATTRIBUTE_CATEGORIES,
@@ -34,7 +33,7 @@ from .reasoning import (
     tree_to_jsonable,
 )
 from .scene_graph import BoundingBox, SceneGraph, SynonymTable
-from .util import ordinal_word
+from .util import load_json, ordinal_word
 
 
 class TokenRole(str, Enum):
@@ -117,10 +116,7 @@ class Template:
 
 def load_templates(source: IO) -> tuple[Template, ...]:
     """Read a template file: a JSON list of {form, pattern, requires?, only_index?}."""
-    try:
-        data = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"template file is not valid JSON: {exc}") from exc
+    data = load_json(source, "template file")
     if not isinstance(data, list) or not data:
         raise SchemaViolation("template file must be a non-empty JSON list")
     templates = []
@@ -143,16 +139,13 @@ def load_templates(source: IO) -> tuple[Template, ...]:
 
 
 def default_templates() -> tuple[Template, ...]:
-    with resources.files("refsynth.data").joinpath("templates.json").open("r") as handle:
+    with resources.files("refsynth.data").joinpath("templates.json").open("rb") as handle:
         return load_templates(handle)
 
 
 def load_attribute_lexicon(source: IO) -> dict[str, str]:
     """Read the attribute value -> attribute category map."""
-    try:
-        data = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"attribute lexicon is not valid JSON: {exc}") from exc
+    data = load_json(source, "attribute lexicon")
     if not isinstance(data, dict):
         raise SchemaViolation("attribute lexicon must be a JSON object")
     lexicon: dict[str, str] = {}
@@ -171,7 +164,7 @@ def load_attribute_lexicon(source: IO) -> dict[str, str]:
 
 
 def default_attribute_lexicon() -> dict[str, str]:
-    with resources.files("refsynth.data").joinpath("attribute_categories.json").open("r") as handle:
+    with resources.files("refsynth.data").joinpath("attribute_categories.json").open("rb") as handle:
         return load_attribute_lexicon(handle)
 
 

@@ -14,7 +14,6 @@ scores; no model or autograd framework is involved.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
@@ -29,7 +28,7 @@ from .errors import (
     ZeroNorm,
     EmptyInput,
 )
-from .util import parse_jsonl
+from .util import parse_jsonl, write_jsonl
 
 MODULE_NAMES = ("subject", "location", "relation")
 DEFAULT_MARGIN = 0.1
@@ -79,11 +78,7 @@ class ModularEmbedding:
 
 def write_embeddings(embeddings: Iterable[ModularEmbedding], sink: IO) -> int:
     """Serialize embeddings as JSON lines; returns the line count."""
-    count = 0
-    for emb in embeddings:
-        sink.write(json.dumps(emb.to_jsonable(), sort_keys=True) + "\n")
-        count += 1
-    return count
+    return write_jsonl((emb.to_jsonable() for emb in embeddings), sink)
 
 
 def read_embeddings(source: IO) -> list[ModularEmbedding]:
@@ -119,9 +114,6 @@ class ProbabilityBlock:
     region_ids: tuple[str, ...]
     rows: np.ndarray
 
-    def row_for(self, index: int) -> np.ndarray:
-        return self.rows[index]
-
 
 @dataclass
 class SamplingTable:
@@ -154,18 +146,15 @@ class SamplingTable:
         block = self.blocks[(category, module)]
         if len(block.region_ids) < 2:
             raise NoPeers(f"region {region_id!r} has no same-category peers")
-        row = block.row_for(position)
+        # The first peer whose running total exceeds r.  The zeroed self entry
+        # never raises the total, so it is never that peer; r at or above the
+        # row's total draws the last peer.
         r = rng.random()
-        acc = 0.0
-        peer = block.region_ids[0]
-        for i, prob in enumerate(row):
-            if i == position:
-                continue
-            peer = block.region_ids[i]
-            acc += float(prob)
-            if r < acc:
-                return peer
-        return peer
+        last = len(block.region_ids) - 1
+        i = int(np.searchsorted(np.cumsum(block.rows[position]), r, side="right"))
+        if i > last:
+            i = last - 1 if position == last else last
+        return block.region_ids[i]
 
 
 def build_sampling_table(

@@ -679,9 +679,18 @@ def tree_to_jsonable(tree: ReasoningTree) -> dict:
     return data
 
 
+def _strings(data: Mapping, key: str) -> tuple[str, ...]:
+    values = data.get(key, [])
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise SchemaViolation(f"tree node {key} must be a list of strings, got {values!r}")
+    return tuple(values)
+
+
 def _node_from_jsonable(data: Mapping) -> TreeNode:
     if not isinstance(data, Mapping) or "category" not in data:
         raise SchemaViolation(f"bad tree node record: {data!r}")
+    if not isinstance(data["category"], str) or not data["category"]:
+        raise SchemaViolation(f"tree node category must be a non-empty string, got {data['category']!r}")
     order = data.get("order")
     spec = None
     if order is not None:
@@ -691,9 +700,9 @@ def _node_from_jsonable(data: Mapping) -> TreeNode:
             raise SchemaViolation(f"bad order spec: {order!r}") from exc
     return TreeNode(
         category=data["category"],
-        attributes=tuple(data.get("attributes", ())),
+        attributes=_strings(data, "attributes"),
         order_spec=spec,
-        negated_attributes=tuple(data.get("negated_attributes", ())),
+        negated_attributes=_strings(data, "negated_attributes"),
     )
 
 
@@ -703,6 +712,8 @@ def _edge_from_jsonable(data: Mapping) -> TreeEdge:
     child = _node_from_jsonable(data["child"])
     try:
         if data["kind"] == EDGE_RELATION:
+            if not isinstance(data["predicate"], str):
+                raise ValueError("predicate must be a string")
             return TreeEdge.relation(data["predicate"], child)
         if data["kind"] == EDGE_SAME:
             return TreeEdge.same(data["category"], child)
@@ -718,10 +729,13 @@ def tree_from_jsonable(data: Mapping) -> ReasoningTree:
         form = LogicForm(data["form"])
     except ValueError as exc:
         raise SchemaViolation(f"unknown logic form {data['form']!r}") from exc
+    edges = data.get("edges", [])
+    if not isinstance(edges, list):
+        raise SchemaViolation(f"tree edges must be a list, got {edges!r}")
     tree = ReasoningTree(
         form=form,
         root=_node_from_jsonable(data["root"]),
-        edges=tuple(_edge_from_jsonable(e) for e in data.get("edges", ())),
+        edges=tuple(_edge_from_jsonable(e) for e in edges),
         chain_extension=(
             _edge_from_jsonable(data["chain_extension"]) if data.get("chain_extension") else None
         ),

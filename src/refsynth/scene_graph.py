@@ -9,13 +9,13 @@ all downstream semantics operate on canonical vocabulary only.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Iterable, Mapping
 
-from .errors import DanglingEdge, MalformedDocument, SchemaViolation
+from .errors import DanglingEdge, SchemaViolation
+from .util import load_json
 
 log = logging.getLogger(__name__)
 
@@ -198,10 +198,7 @@ class SynonymTable:
 
 def load_synonyms(source: IO) -> SynonymTable:
     """Read a synonym table from a JSON map of canonical -> [surface, ...]."""
-    try:
-        data = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"synonym table is not valid JSON: {exc}") from exc
+    data = load_json(source, "synonym table")
     if not isinstance(data, dict):
         raise SchemaViolation("synonym table must be a JSON object")
     entries: dict[str, tuple[str, ...]] = {}
@@ -216,40 +213,30 @@ def load_synonyms(source: IO) -> SynonymTable:
 
 @dataclass
 class Corpus:
-    """A keyed collection of scene graphs plus a category occurrence index."""
+    """A collection of scene graphs keyed by image id, ascending."""
 
     graphs: dict[str, SceneGraph]
-    category_index: dict[str, tuple[tuple[str, str], ...]]
 
     @classmethod
     def build(cls, graphs: Mapping[str, SceneGraph]) -> "Corpus":
-        ordered = {k: graphs[k] for k in sorted(graphs)}
-        index: dict[str, list[tuple[str, str]]] = {}
-        for image_id, graph in ordered.items():
-            for node in graph.nodes:
-                index.setdefault(node.category, []).append((image_id, node.id))
-        return cls(graphs=ordered, category_index={c: tuple(v) for c, v in sorted(index.items())})
+        return cls(graphs={k: graphs[k] for k in sorted(graphs)})
 
     @property
     def image_ids(self) -> tuple[str, ...]:
         return tuple(self.graphs)
 
     @cached_property
-    def _images_by_category(self) -> dict[str, tuple[str, ...]]:
-        return {
-            category: tuple(dict.fromkeys(img for img, _ in occurrences))
-            for category, occurrences in self.category_index.items()
-        }
+    def images_by_category(self) -> dict[str, tuple[str, ...]]:
+        """Category -> ids of the images holding it, in corpus order."""
+        index: dict[str, dict[str, None]] = {}
+        for image_id, graph in self.graphs.items():
+            for node in graph.nodes:
+                index.setdefault(node.category, {})[image_id] = None
+        return {category: tuple(images) for category, images in index.items()}
 
     def images_with_category(self, category: str) -> tuple[str, ...]:
         """Ids of the images holding the category, ascending."""
-        return self._images_by_category.get(category, ())
-
-    def verify_index(self) -> None:
-        """Recount the category index from the graphs; raise on divergence."""
-        recount = Corpus.build(self.graphs).category_index
-        if recount != self.category_index:
-            raise SchemaViolation("category index diverges from graph contents")
+        return self.images_by_category.get(category, ())
 
 
 def _require(condition: bool, message: str) -> None:
@@ -343,15 +330,12 @@ def load_corpus(source: IO, synonyms: SynonymTable | None = None) -> Corpus:
         synonyms: optional synonym table; omitted means identity mapping.
 
     Raises:
-        MalformedDocument: the stream is not valid JSON.
+        MalformedDocument: the stream is not valid UTF-8 JSON.
         SchemaViolation: the document deviates from the documented schema.
         DanglingEdge: a relation points at an object id that does not exist.
     """
     synonyms = synonyms or SynonymTable.empty()
-    try:
-        data = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"corpus is not valid JSON: {exc}") from exc
+    data = load_json(source, "corpus")
     if not isinstance(data, dict):
         raise SchemaViolation("corpus must be a JSON object keyed by image id")
     graphs: dict[str, SceneGraph] = {}
@@ -362,7 +346,7 @@ def load_corpus(source: IO, synonyms: SynonymTable | None = None) -> Corpus:
 
 
 def load_corpus_path(path: str, synonyms: SynonymTable | None = None) -> Corpus:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         return load_corpus(handle, synonyms)
 
 

@@ -1,15 +1,31 @@
-"""Small shared helpers: JSONL reading, rng derivation, weighted choice, ordinals."""
+"""Small shared helpers: JSON reading and writing, rng derivation, weighted choice, ordinals."""
 
 from __future__ import annotations
 
+import codecs
 import hashlib
+import io
 import json
 import random
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import DataError
+from .errors import DataError, MalformedDocument
 
 T = TypeVar("T")
+
+
+def load_json(source: IO, label: str) -> object:
+    """Parse the one JSON document in a text or byte stream.
+
+    Invalid JSON and bytes that are not UTF-8 raise :class:`MalformedDocument`
+    naming the stream's file, or ``label`` when the stream has no name.
+    """
+    if not isinstance(source, io.TextIOBase):
+        source = codecs.getreader("utf-8")(source)
+    try:
+        return json.load(source)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MalformedDocument(f"{getattr(source, 'name', label)} is not valid JSON: {exc}") from exc
 
 
 def parse_jsonl(lines: Iterable[str | bytes], name: str, parse: Callable[[object], T]) -> Iterator[T]:
@@ -39,6 +55,15 @@ def read_jsonl(path: str, parse: Callable[[object], T]) -> Iterator[T]:
     other bad line."""
     with open(path, "rb") as handle:
         yield from parse_jsonl(handle, path, parse)
+
+
+def write_jsonl(payloads: Iterable[object], sink: IO) -> int:
+    """Write each payload as one sorted-key JSON line; returns the line count."""
+    count = 0
+    for payload in payloads:
+        sink.write(json.dumps(payload, sort_keys=True) + "\n")
+        count += 1
+    return count
 
 
 def derive_rng(seed: int, *keys: object) -> random.Random:

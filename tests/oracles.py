@@ -183,6 +183,24 @@ def hand_softmax(values) -> list[float]:
     return [e / total for e in exps]
 
 
+def walk_sample(row, position, region_ids, r) -> str:
+    """A hard-negative draw by a running sum over a row, skipping the self entry.
+
+    Returns the first peer whose running total exceeds ``r``, or the last peer
+    when ``r`` reaches the row's total.
+    """
+    acc = 0.0
+    peer = region_ids[0]
+    for i, prob in enumerate(row):
+        if i == position:
+            continue
+        peer = region_ids[i]
+        acc += float(prob)
+        if r < acc:
+            return peer
+    return peer
+
+
 def binomial_sigma(p: float, n: int) -> float:
     """Standard deviation of a proportion estimated from n Bernoulli draws."""
     return math.sqrt(p * (1.0 - p) / n)

@@ -145,7 +145,8 @@ class TestDistract:
         lambda payload: 5,
         lambda payload: {**payload, "image_id": ["x"]},
         lambda payload: {**payload, "target_id": 7},
-    ], ids=["non-object", "list-image-id", "int-target-id"])
+        lambda payload: {**payload, "tree": {**payload["tree"], "root": {"category": ["x"]}}},
+    ], ids=["non-object", "list-image-id", "int-target-id", "list-tree-category"])
     def test_malformed_record_exits_3_naming_its_line(self, pipeline_dir, tmp_path, caplog, edit):
         first, second = read_lines(pipeline_dir / "expressions.jsonl")[:2]
         path = tmp_path / "expressions.jsonl"
@@ -360,6 +361,47 @@ class TestMineDemo:
             "mine-demo", "--regions", "64", "--dim", "8", "--iterations", iterations,
         ])
         assert code == 2
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["mine-demo", "--regions", "-5"], "--regions"),
+        (["mine-demo", "--regions", "0"], "--regions"),
+        (["mine-demo", "--dim", "-2"], "--dim"),
+        (["mine-demo", "--dim", "0"], "--dim"),
+        (["stats", "--corpus", CORPUS_PATH, "--top-k", "-1"], "--top-k"),
+    ], ids=["regions-negative", "regions-zero", "dim-negative", "dim-zero", "top-k-negative"])
+    def test_out_of_range_exits_2_naming_the_flag(self, caplog, argv, flag):
+        with caplog.at_level(logging.ERROR, logger="refsynth"):
+            assert main(argv) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and errors[0].startswith(flag)
+
+
+class TestBadDocuments:
+    """Every JSON document flag: a file that is not UTF-8 JSON exits 3 and names itself."""
+
+    @pytest.mark.parametrize("content", [b'{"a": ', b'{"a": "\xc3("}'], ids=["truncated", "not-utf8"])
+    @pytest.mark.parametrize("flag", [
+        "--corpus", "--synonyms", "--lexicon", "--templates", "--config", "--scores-file",
+    ])
+    def test_exits_3_naming_the_file(self, pipeline_dir, tmp_path, caplog, flag, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        generate = ["generate", "--corpus", CORPUS_PATH, "--out", str(tmp_path / "out.jsonl")]
+        command = {
+            "--corpus": ["schema-check"],
+            "--synonyms": ["schema-check", "--corpus", CORPUS_PATH],
+            "--lexicon": generate,
+            "--templates": generate,
+            "--config": generate,
+            "--scores-file": ["eval", "--instances", str(pipeline_dir / "instances.jsonl")],
+        }[flag]
+        with caplog.at_level(logging.ERROR, logger="refsynth"):
+            code = main([*command, flag, str(bad)])
+        assert code == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and str(bad) in errors[0]
 
 
 class TestSchemaCheck:

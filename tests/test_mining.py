@@ -32,8 +32,9 @@ from refsynth.mining import (
     total_loss,
     write_embeddings,
 )
+from refsynth.synthgen import make_embeddings
 
-from .oracles import hand_softmax, literal_mine_loss, literal_rank_loss
+from .oracles import hand_softmax, literal_mine_loss, literal_rank_loss, walk_sample
 
 
 def embedding(region_id, category, vectors) -> ModularEmbedding:
@@ -84,6 +85,16 @@ class TestSoftmax:
         assert abs(float(ours.sum()) - 1.0) < 1e-9
 
 
+class StubRandom:
+    """An rng whose every draw is one fixed value."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
 class TestSamplingTable:
     def test_rows_are_distributions_with_zero_self_mass(self):
         table = build_sampling_table(trio())
@@ -124,6 +135,23 @@ class TestSamplingTable:
             table.sample(rng, "ghost", MODULE_NAMES[0])
         with pytest.raises(KeyMismatch):
             table.sample(rng, "r0", "appearance")
+
+    def test_draws_equal_the_running_sum_walk(self):
+        table = build_sampling_table(make_embeddings(3, count=60, dim=8, category_count=5) + trio())
+        for seed in (0, 1):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for region_id, (category, position) in table.index.items():
+                for module in MODULE_NAMES:
+                    block = table.blocks[(category, module)]
+                    row = block.rows[position]
+                    expected = walk_sample(row, position, block.region_ids, reference.random())
+                    assert table.sample(rng, region_id, module) == expected
+                    # Stub draws at both ends and on every running total: a tie
+                    # moves on to the next peer, and r >= total gives the last.
+                    for r in (0.0, 1.0, *np.cumsum(row)):
+                        stub = StubRandom(float(r))
+                        expected = walk_sample(row, position, block.region_ids, float(r))
+                        assert table.sample(stub, region_id, module) == expected
 
     def test_sample_negatives_covers_every_module(self):
         table = build_sampling_table(trio())

@@ -377,10 +377,40 @@ def test_round_trip_preserves_trees(tree):
     assert tree_from_jsonable(tree_to_jsonable(tree)) == tree
 
 
+def _not_tree(root=None, edges=None, predicate="near") -> dict:
+    """A valid NOT-form tree record, with the given fields replaced."""
+    root = {"category": "cup", "attributes": ["red"], "negated_attributes": ["blue"], **(root or {})}
+    if edges is None:
+        edges = [{"kind": "relation", "predicate": predicate, "child": {"category": "dog"}}]
+    return {"form": "not", "root": root, "edges": edges}
+
+
 class TestValidation:
     def test_bad_payload_rejected(self):
         with pytest.raises(SchemaViolation):
             tree_from_jsonable({"form": "chain"})
+
+    def test_the_field_check_base_record_is_valid(self):
+        tree = tree_from_jsonable(_not_tree())
+        assert tree.root.attributes == ("red",) and tree.edges[0].predicate == "near"
+
+    @pytest.mark.parametrize("record", [
+        _not_tree(root={"category": ["x"]}),
+        _not_tree(root={"category": ""}),
+        _not_tree(root={"attributes": 5}),
+        _not_tree(root={"attributes": "red"}),
+        _not_tree(root={"attributes": ["red", 1]}),
+        _not_tree(root={"negated_attributes": 7}),
+        _not_tree(edges=5),
+        _not_tree(edges=[{"kind": "relation", "predicate": "near", "child": {"category": 3}}]),
+        _not_tree(predicate=""),
+        _not_tree(predicate=["near"]),
+    ], ids=["list-category", "empty-category", "int-attributes", "string-attributes",
+            "int-in-attributes", "int-negated", "int-edges", "int-child-category",
+            "empty-predicate", "list-predicate"])
+    def test_badly_typed_fields_are_rejected(self, record):
+        with pytest.raises(SchemaViolation):
+            tree_from_jsonable(record)
 
     @pytest.mark.parametrize(
         "tree",

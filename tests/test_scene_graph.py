@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from refsynth.errors import DanglingEdge, MalformedDocument, SchemaViolation
 from refsynth.scene_graph import (
     BoundingBox,
-    Corpus,
     ObjectNode,
     RelationEdge,
     SynonymTable,
@@ -211,11 +210,3 @@ class TestTargetFilters:
         graph = build_graph("img", {"o1": ("cup", (), box())})
         with pytest.raises(ValueError):
             eligible_targets(graph, min_area_ratio=1.5)
-
-
-class TestCorpusIndex:
-    def test_verify_index_catches_drift(self, corpus):
-        corpus.verify_index()
-        broken = Corpus(graphs=corpus.graphs, category_index={})
-        with pytest.raises(SchemaViolation):
-            broken.verify_index()

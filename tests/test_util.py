@@ -1,17 +1,39 @@
-"""The JSONL reader: one line parsed at a time, failures named by line."""
+"""The JSON readers: one document per stream named by its file, JSONL one line at a time."""
 
 from __future__ import annotations
 
+import io
+import re
+
 import pytest
 
-from refsynth.errors import DataError, SchemaViolation
-from refsynth.util import parse_jsonl, read_jsonl
+from refsynth.errors import DataError, MalformedDocument, SchemaViolation
+from refsynth.util import load_json, parse_jsonl, read_jsonl
 
 
 def positive(payload):
     if not isinstance(payload, int) or payload <= 0:
         raise SchemaViolation(f"not a positive number: {payload!r}")
     return payload
+
+
+class TestLoadJson:
+    def test_text_and_bytes_give_the_same_document(self):
+        assert load_json(io.StringIO('{"a": [1]}'), "doc") == {"a": [1]}
+        assert load_json(io.BytesIO(b'{"a": [1]}'), "doc") == {"a": [1]}
+
+    @pytest.mark.parametrize("content", [b'{"a": ', b'{"a": "\xc3("}'], ids=["truncated", "not-utf8"])
+    def test_names_the_file_of_a_named_stream(self, tmp_path, content):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        message = f"^{re.escape(str(path))} is not valid JSON"
+        with open(path, "rb") as handle, pytest.raises(MalformedDocument, match=message):
+            load_json(handle, "doc")
+
+    @pytest.mark.parametrize("content", [b'{"a": ', b'{"a": "\xc3("}'], ids=["truncated", "not-utf8"])
+    def test_falls_back_to_the_label(self, content):
+        with pytest.raises(MalformedDocument, match="^corpus is not valid JSON"):
+            load_json(io.BytesIO(content), "corpus")
 
 
 class TestParseJsonl:
