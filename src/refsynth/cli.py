@@ -28,7 +28,7 @@ from typing import IO, Callable, Iterable, Sequence, TypeVar
 
 from .balance import compute_stats, format_stats_table, is_spatial_only, relation_weights, split
 from .config import load_config
-from .distractor import TaskInstance, find_distractors, missing_counts
+from .distractor import TaskInstance, find_distractors, instance_line, missing_counts
 from .errors import ConfigError, DataError, EmptyCorpus, EmptyInput, EmptyResult
 from .evaluation import (
     ConstantScorer,
@@ -237,10 +237,11 @@ def cmd_distract(args: argparse.Namespace) -> int:
 
     instances: list[TaskInstance] = []
     discarded: list[dict] = []
+    scans: dict = {}  # tree -> slots; sound because every record matches exactly its target
     for record in records:
-        instance = find_distractors(corpus, record, config.per_type, lexicon)
+        instance = find_distractors(corpus, record, config.per_type, lexicon, scans)
         if instance is None:
-            missing = missing_counts(corpus, record, config.per_type, lexicon)
+            missing = missing_counts(corpus, record, config.per_type, lexicon, scans)
             discarded.append(
                 {
                     "expr_id": record.expr_id,
@@ -253,11 +254,14 @@ def cmd_distract(args: argparse.Namespace) -> int:
     if not instances:
         raise EmptyResult("no expression found a full distractor set")
 
-    count = _write_jsonl(args.out, (i.to_jsonable() for i in instances))
+    region_json: dict[str, str] = {}
+    with open(args.out, "w", encoding="utf-8") as handle:
+        for instance in instances:
+            handle.write(instance_line(instance, region_json) + "\n")
     report = {
         "discarded": len(discarded),
         "expressions": len(records),
-        "instances": count,
+        "instances": len(instances),
         "out": args.out,
         "per_type": config.per_type,
     }

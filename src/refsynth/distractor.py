@@ -11,6 +11,7 @@ across the whole task instance.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import islice
@@ -47,6 +48,9 @@ _ASSIGNMENT_PRIORITY = (
     DistractorType.CAT_ATTR,
     DistractorType.CAT,
 )
+
+# The images a scan assigns to each type, in scan order.
+Slots = Mapping[DistractorType, tuple[str, ...]]
 
 
 def _bare_edge(edge: TreeEdge) -> TreeEdge:
@@ -157,8 +161,7 @@ class TaskInstance:
             "target_image": self.target_image,
             "distractors": {dtype.value: list(ids) for dtype, ids in self.distractors.items()},
             "candidate_regions": {
-                image_id: [[obj_id, box.to_jsonable()] for obj_id, box in regions]
-                for image_id, regions in self.candidate_regions.items()
+                image_id: _regions_jsonable(regions) for image_id, regions in self.candidate_regions.items()
             },
         }
 
@@ -210,6 +213,32 @@ class TaskInstance:
         return instance
 
 
+def _regions_jsonable(regions: tuple[tuple[str, BoundingBox], ...]) -> list:
+    """One image's ``candidate_regions`` entry: a list of ``[object id, box]`` pairs."""
+    return [[obj_id, box.to_jsonable()] for obj_id, box in regions]
+
+
+def instance_line(instance: TaskInstance, region_json: dict[str, str]) -> str:
+    """``json.dumps(instance.to_jsonable(), sort_keys=True)``, encoding each image's regions once.
+
+    ``region_json`` maps an image id to its encoded ``"image id": [regions]``
+    member and is filled on first sight, so every instance written through
+    one map must take an image's regions from the same corpus.
+    ``candidate_regions`` sorts before every other key, so the line is that
+    object followed by the rest of the instance.
+    """
+    members = []
+    for image_id in sorted(instance.candidate_regions):
+        member = region_json.get(image_id)
+        if member is None:
+            regions = _regions_jsonable(instance.candidate_regions[image_id])
+            member = region_json[image_id] = f"{json.dumps(image_id)}: {json.dumps(regions, sort_keys=True)}"
+        members.append(member)
+    rest = replace(instance, candidate_regions={}).to_jsonable()
+    del rest["candidate_regions"]
+    return '{"candidate_regions": {' + ", ".join(members) + "}, " + json.dumps(rest, sort_keys=True)[1:]
+
+
 def _image_ids(ids) -> tuple[str, ...]:
     if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
         raise ValueError(f"image ids must be a list of strings, got {ids!r}")
@@ -221,7 +250,7 @@ def _scan(
     expr: ExpressionRecord,
     per_type: int,
     lexicon: Mapping[str, str] | None,
-) -> dict[DistractorType, list[str]]:
+) -> Slots:
     """Greedy pass in ascending image-id order, one slot per image.
 
     DiffCat takes the first images without the root category.  The other
@@ -252,6 +281,22 @@ def _scan(
             if not match(tree, graph, lexicon):
                 slots[dtype].append(image_id)
             break
+    return {dtype: tuple(ids) for dtype, ids in slots.items()}
+
+
+def _slots(
+    corpus: Corpus,
+    expr: ExpressionRecord,
+    per_type: int,
+    lexicon: Mapping[str, str] | None,
+    scans: dict[ReasoningTree, Slots] | None,
+) -> Slots:
+    """The scan's slots for ``expr``, taken from or added to ``scans`` when given."""
+    if scans is None:
+        return _scan(corpus, expr, per_type, lexicon)
+    slots = scans.get(expr.tree)
+    if slots is None:
+        slots = scans[expr.tree] = _scan(corpus, expr, per_type, lexicon)
     return slots
 
 
@@ -260,6 +305,7 @@ def find_distractors(
     expr: ExpressionRecord,
     per_type: int = DEFAULT_PER_TYPE,
     lexicon: Mapping[str, str] | None = None,
+    scans: dict[ReasoningTree, Slots] | None = None,
 ) -> TaskInstance | None:
     """Scan the corpus for ``per_type`` distractors of each type.
 
@@ -268,22 +314,26 @@ def find_distractors(
     qualifies for that still has room).  The scan is purely deterministic: no
     randomness is involved.  Returns None when any type comes up short; a
     short instance is discarded rather than padded.
+
+    ``scans``, a dict shared by the calls of one run with one ``per_type``
+    and ``lexicon``, keeps each distinct tree's slots, so a tree is scanned
+    once however many expressions carry it.  It requires every expression to
+    match exactly its target image, as ``distract`` checks: a matching image
+    fills no slot and the target holds the root category, so skipping the
+    target then changes nothing and the slots depend on the tree alone.
+    Without ``scans`` each call scans for itself.
     """
-    slots = _scan(corpus, expr, per_type, lexicon)
+    slots = _slots(corpus, expr, per_type, lexicon, scans)
     if any(len(ids) < per_type for ids in slots.values()):
         return None
     instance_images = [expr.image_id]
     for dtype in DistractorType:
         instance_images.extend(slots[dtype])
-    regions = {
-        image_id: tuple((node.id, node.box) for node in corpus.graphs[image_id].nodes)
-        for image_id in instance_images
-    }
     return TaskInstance(
         expression=expr,
         target_image=expr.image_id,
-        distractors={dtype: tuple(ids) for dtype, ids in slots.items()},
-        candidate_regions=regions,
+        distractors=dict(slots),
+        candidate_regions={image_id: corpus.graphs[image_id].regions for image_id in instance_images},
     )
 
 
@@ -292,7 +342,12 @@ def missing_counts(
     expr: ExpressionRecord,
     per_type: int = DEFAULT_PER_TYPE,
     lexicon: Mapping[str, str] | None = None,
+    scans: dict[ReasoningTree, Slots] | None = None,
 ) -> dict[DistractorType, int]:
-    """How many distractors each type is short by; all zeros means viable."""
-    slots = _scan(corpus, expr, per_type, lexicon)
+    """How many distractors each type is short by; all zeros means viable.
+
+    With the ``scans`` that ``find_distractors`` filled for ``expr``, this
+    reads its slots and scans nothing.
+    """
+    slots = _slots(corpus, expr, per_type, lexicon, scans)
     return {dtype: max(0, per_type - len(ids)) for dtype, ids in slots.items()}

@@ -695,6 +695,8 @@ def _node_from_jsonable(data: Mapping) -> TreeNode:
     spec = None
     if order is not None:
         try:
+            if type(order["index"]) is not int:
+                raise TypeError("order index must be an integer")
             spec = OrderSpec(index=order["index"], direction=order["direction"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolation(f"bad order spec: {order!r}") from exc

@@ -120,6 +120,11 @@ class SceneGraph:
         return {c: tuple(ns) for c, ns in grouped.items()}
 
     @cached_property
+    def regions(self) -> tuple[tuple[str, BoundingBox], ...]:
+        """Every ``(object id, box)`` pair in object-id order; built once and shared."""
+        return tuple((n.id, n.box) for n in self.nodes)
+
+    @cached_property
     def _out_edges(self) -> dict[str, tuple[RelationEdge, ...]]:
         grouped: dict[str, list[RelationEdge]] = {}
         for e in self.edges:

@@ -24,6 +24,9 @@ from .conftest import CORPUS_PATH, PIPELINE_SEED
 # PIPELINE_SEED, so that no refactor of either stage changes a byte unseen.
 EXPRESSIONS_SHA256 = "bd4a9950fbd9b6d98f2cc637fba0424039206275aa6cf4fb2a98cbedd9b4d986"
 INSTANCES_SHA256 = "b3c941f1556d5fc3bc9ed8773cb1a259217e8c250e76ca54465f358ef5788b8b"
+# sha256 of json.dumps(discard_details, sort_keys=True) from distract's --log:
+# the shortage counts of the 199 of 242 expressions that find no full set.
+DISCARDS_SHA256 = "bfddbaceb076978f040ac3c5bd5a516deb666bdb9398a27bd842167b2d51881c"
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +107,13 @@ class TestDistract:
     def test_output_bytes_are_pinned(self, pipeline_dir):
         assert sha256(pipeline_dir / "instances.jsonl") == INSTANCES_SHA256
 
+    def test_discard_details_are_pinned(self, pipeline_dir):
+        with open(pipeline_dir / "distract.log.json", encoding="utf-8") as handle:
+            log = json.load(handle)
+        assert (log["discarded"], log["expressions"]) == (199, 242)
+        encoded = json.dumps(log["discard_details"], sort_keys=True).encode()
+        assert hashlib.sha256(encoded).hexdigest() == DISCARDS_SHA256
+
     def _distract_with_second_line(self, pipeline_dir, tmp_path, caplog, edit):
         """Run distract on two expressions, the second one edited; return the code."""
         first, second = read_lines(pipeline_dir / "expressions.jsonl")[:2]
@@ -146,11 +156,17 @@ class TestDistract:
         lambda payload: {**payload, "image_id": ["x"]},
         lambda payload: {**payload, "target_id": 7},
         lambda payload: {**payload, "tree": {**payload["tree"], "root": {"category": ["x"]}}},
-    ], ids=["non-object", "list-image-id", "int-target-id", "list-tree-category"])
+        lambda payload: _with_order_index(payload, True),
+        lambda payload: _with_order_index(payload, 1.0),
+    ], ids=["non-object", "list-image-id", "int-target-id", "list-tree-category",
+            "bool-order-index", "float-order-index"])
     def test_malformed_record_exits_3_naming_its_line(self, pipeline_dir, tmp_path, caplog, edit):
-        first, second = read_lines(pipeline_dir / "expressions.jsonl")[:2]
+        # The first expression is "the first ... from the right": an order
+        # index of 1, which true and 1.0 would pass for if they were read.
+        ordered, other = read_lines(pipeline_dir / "expressions.jsonl")[:2]
+        assert ordered["tree"]["root"]["order"]["index"] == 1
         path = tmp_path / "expressions.jsonl"
-        path.write_text("".join(json.dumps(p) + "\n" for p in (first, edit(second))))
+        path.write_text("".join(json.dumps(p) + "\n" for p in (other, edit(ordered))))
         with caplog.at_level(logging.ERROR, logger="refsynth"):
             code = main([
                 "distract", "--corpus", CORPUS_PATH,
@@ -168,6 +184,12 @@ class TestDistract:
             "--expressions", str(empty), "--out", str(tmp_path / "out.jsonl"),
         ])
         assert code == 4
+
+
+def _with_order_index(payload, index):
+    root = payload["tree"]["root"]
+    order = {**root["order"], "index": index}
+    return {**payload, "tree": {**payload["tree"], "root": {**root, "order": order}}}
 
 
 def _first_region_list_broken(payload):
@@ -283,6 +305,16 @@ class TestStats:
         assert payload["image_count"] == 20
         assert payload["expression_count"] > 100
         assert payload["avg_candidates"] > 50
+
+    @pytest.mark.parametrize("index", [True, 1.0], ids=["bool", "float"])
+    def test_non_integer_order_index_exits_3_naming_its_line(self, pipeline_dir, tmp_path, caplog, index):
+        ordered, other = read_lines(pipeline_dir / "expressions.jsonl")[:2]
+        path = tmp_path / "expressions.jsonl"
+        path.write_text("".join(json.dumps(p) + "\n" for p in (other, _with_order_index(ordered, index))))
+        with caplog.at_level(logging.ERROR, logger="refsynth"):
+            assert main(["stats", "--expressions", str(path), "--json"]) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and f"{path}:2:" in errors[0]
 
     def test_plain_table(self, capsys):
         assert main(["stats", "--corpus", CORPUS_PATH]) == 0

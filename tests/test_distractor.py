@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import refsynth.distractor as distractor
 from refsynth.distractor import (
     DistractorType,
     TaskInstance,
     find_distractors,
+    instance_line,
     missing_counts,
     skeleton_realized,
     type_predicate,
@@ -26,7 +30,7 @@ from refsynth.reasoning import (
     match,
     tree_categories,
 )
-from refsynth.scene_graph import Corpus, SynonymTable
+from refsynth.scene_graph import BoundingBox, Corpus, SynonymTable
 
 from .conftest import box, build_graph
 from .oracles import brute_force_match, brute_force_skeleton
@@ -254,7 +258,154 @@ class TestFindDistractors:
                 assert needed <= present
 
 
+@st.composite
+def recurring_tree_cases(draw):
+    """A corpus in which trees recur, and every expression its trees give.
+
+    The toy corpus is joined by planted graphs, each under one to three image
+    ids, so a tree that matches a planted graph matches every copy.  Each
+    tree yields one expression per image where it matches exactly one
+    object, which is what ``distract`` asks of its input.
+    """
+    graphs = dict(toy_corpus().graphs)
+    tree_list = [chain_expression().tree]
+    for i in range(draw(st.integers(1, 4))):
+        tree, graph = draw(planted_cases(draw(st.sampled_from(list(LogicForm)))))
+        tree_list.append(tree)
+        for copy in range(draw(st.integers(1, 3))):
+            image_id = f"g{i}.{copy}"
+            graphs[image_id] = dataclasses.replace(graph, image_id=image_id)
+    corpus = Corpus.build(graphs)
+    base = chain_expression()
+    expressions = []
+    for tree in tree_list:
+        for image_id, graph in corpus.graphs.items():
+            found = match(tree, graph, LEXICON)
+            if len(found) == 1:
+                (target,) = found
+                expressions.append(dataclasses.replace(
+                    base, expr_id=f"{image_id}:{target}:{len(expressions)}", form=tree.form,
+                    tree=tree, image_id=image_id, target_id=target,
+                    target_box=graph.node(target).box,
+                ))
+    return corpus, expressions
+
+
+class TestScanPerTree:
+    @settings(max_examples=60, deadline=None)
+    @given(case=recurring_tree_cases(), per_type=st.integers(1, 3))
+    def test_memo_agrees_with_a_scan_per_expression(self, case, per_type):
+        corpus, expressions = case
+        scans = {}
+        for expr in expressions:
+            alone = find_distractors(corpus, expr, per_type, LEXICON)
+            assert find_distractors(corpus, expr, per_type, LEXICON, scans) == alone
+            assert (missing_counts(corpus, expr, per_type, LEXICON, scans)
+                    == missing_counts(corpus, expr, per_type, LEXICON))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=recurring_tree_cases(), per_type=st.integers(1, 3))
+    def test_one_scan_per_distinct_tree_and_none_for_shortages(self, case, per_type):
+        corpus, expressions = case
+        calls = []
+        scan = distractor._scan
+
+        def counted(*args):
+            calls.append(args[1].tree)
+            return scan(*args)
+
+        scans = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(distractor, "_scan", counted)
+            for expr in expressions:
+                if find_distractors(corpus, expr, per_type, LEXICON, scans) is None:
+                    before = len(calls)
+                    missing_counts(corpus, expr, per_type, LEXICON, scans)
+                    assert len(calls) == before
+        assert len(calls) == len(set(calls)) == len({e.tree for e in expressions})
+
+    def test_without_a_memo_the_target_image_is_skipped(self):
+        # The tree does not match its target c1, which breaks the memo's
+        # precondition; a call without a memo still never offers the target.
+        graphs = dict(toy_corpus().graphs)
+        graphs["c4"] = dataclasses.replace(graphs["c1"], image_id="c4")
+        corpus = Corpus.build(graphs)
+        expr = dataclasses.replace(chain_expression(), image_id="c1", target_id="o1")
+        assert not match(expr.tree, corpus.graphs["c1"], LEXICON)
+        instance = find_distractors(corpus, expr, 3, LEXICON)
+        assert instance.distractors[DistractorType.CAT] == ("c2", "c3", "c4")
+        # A memo filled by a sound expression of the same tree is not
+        # keyed by target, so there c1 takes a slot.
+        scans = {}
+        find_distractors(corpus, chain_expression(), 3, LEXICON, scans)
+        shared = find_distractors(corpus, expr, 3, LEXICON, scans)
+        assert shared.distractors[DistractorType.CAT] == ("c1", "c2", "c3")
+
+
+# Ids that JSON must escape, that are not ASCII, or that sort differently as
+# text and as numbers ("10" < "9").
+ids = st.one_of(
+    st.text(max_size=6),
+    st.integers(0, 120).map(str),
+    st.sampled_from(['"', "\\", '\\"', "é", "日本", "\u2028", "\x00"]),
+)
+boxes = st.builds(
+    BoundingBox,
+    x=st.one_of(st.integers(0, 900), st.floats(0, 900)),
+    y=st.one_of(st.integers(0, 900), st.floats(0, 900)),
+    w=st.one_of(st.integers(1, 900), st.floats(0.01, 900)),
+    h=st.one_of(st.integers(1, 900), st.floats(0.01, 900)),
+)
+
+
+@st.composite
+def instances_sharing_images(draw):
+    """Instances over one set of images, each image with one region list."""
+    image_ids = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    regions = {
+        image_id: tuple(draw(st.lists(st.tuples(ids, boxes), max_size=4)))
+        for image_id in image_ids
+    }
+    expr = chain_expression()
+    drawn = []
+    for _ in range(draw(st.integers(1, 4))):
+        target = draw(st.sampled_from(image_ids))
+        distractors = {
+            dtype: tuple(draw(st.lists(st.sampled_from(image_ids), max_size=3)))
+            for dtype in DistractorType
+        }
+        used = {target, *(i for chosen in distractors.values() for i in chosen)}
+        drawn.append(TaskInstance(
+            expression=dataclasses.replace(expr, image_id=target),
+            target_image=target,
+            distractors=distractors,
+            candidate_regions={image_id: regions[image_id] for image_id in used},
+        ))
+    return drawn
+
+
+class _CountingDict(dict):
+    """A dict that counts how often each key is stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = {}
+
+    def __setitem__(self, key, value):
+        self.stores[key] = self.stores.get(key, 0) + 1
+        super().__setitem__(key, value)
+
+
 class TestSerialization:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=instances_sharing_images())
+    def test_assembled_line_equals_the_dumped_instance(self, drawn):
+        region_json = _CountingDict()
+        for instance in drawn:
+            assert instance_line(instance, region_json) == json.dumps(instance.to_jsonable(), sort_keys=True)
+        images = {image_id for instance in drawn for image_id in instance.candidate_regions}
+        assert region_json.stores == dict.fromkeys(images, 1)
+
     def test_round_trip(self):
         corpus = toy_corpus()
         instance = find_distractors(corpus, chain_expression(), 3, LEXICON)

@@ -385,6 +385,11 @@ def _not_tree(root=None, edges=None, predicate="near") -> dict:
     return {"form": "not", "root": root, "edges": edges}
 
 
+def _order_tree(index) -> dict:
+    """A valid ORDER-form tree record, with the given order index."""
+    return {"form": "order", "root": {"category": "cup", "order": {"index": index, "direction": "left"}}}
+
+
 class TestValidation:
     def test_bad_payload_rejected(self):
         with pytest.raises(SchemaViolation):
@@ -393,6 +398,9 @@ class TestValidation:
     def test_the_field_check_base_record_is_valid(self):
         tree = tree_from_jsonable(_not_tree())
         assert tree.root.attributes == ("red",) and tree.edges[0].predicate == "near"
+
+    def test_the_order_index_base_record_is_valid(self):
+        assert tree_from_jsonable(_order_tree(2)).root.order_spec == OrderSpec(index=2, direction="left")
 
     @pytest.mark.parametrize("record", [
         _not_tree(root={"category": ["x"]}),
@@ -405,9 +413,11 @@ class TestValidation:
         _not_tree(edges=[{"kind": "relation", "predicate": "near", "child": {"category": 3}}]),
         _not_tree(predicate=""),
         _not_tree(predicate=["near"]),
+        _order_tree(True),
+        _order_tree(1.0),
     ], ids=["list-category", "empty-category", "int-attributes", "string-attributes",
             "int-in-attributes", "int-negated", "int-edges", "int-child-category",
-            "empty-predicate", "list-predicate"])
+            "empty-predicate", "list-predicate", "bool-order-index", "float-order-index"])
     def test_badly_typed_fields_are_rejected(self, record):
         with pytest.raises(SchemaViolation):
             tree_from_jsonable(record)
