@@ -235,33 +235,32 @@ def cmd_distract(args: argparse.Namespace) -> int:
     if not records:
         raise EmptyInput(f"no expressions in {args.expressions}")
 
-    instances: list[TaskInstance] = []
+    written = 0
     discarded: list[dict] = []
     scans: dict = {}  # tree -> slots; sound because every record matches exactly its target
-    for record in records:
-        instance = find_distractors(corpus, record, config.per_type, lexicon, scans)
-        if instance is None:
-            missing = missing_counts(corpus, record, config.per_type, lexicon, scans)
-            discarded.append(
-                {
-                    "expr_id": record.expr_id,
-                    "missing": {t.value: n for t, n in missing.items() if n},
-                }
-            )
-            continue
-        instances.append(instance)
-
-    if not instances:
-        raise EmptyResult("no expression found a full distractor set")
-
     region_json: dict[str, str] = {}
     with open(args.out, "w", encoding="utf-8") as handle:
-        for instance in instances:
+        for record in records:
+            instance = find_distractors(corpus, record, config.per_type, lexicon, scans)
+            if instance is None:
+                missing = missing_counts(corpus, record, config.per_type, lexicon, scans)
+                discarded.append(
+                    {
+                        "expr_id": record.expr_id,
+                        "missing": {t.value: n for t, n in missing.items() if n},
+                    }
+                )
+                continue
             handle.write(instance_line(instance, region_json) + "\n")
+            written += 1
+    if not written:
+        os.remove(args.out)
+        raise EmptyResult("no expression found a full distractor set")
+
     report = {
         "discarded": len(discarded),
         "expressions": len(records),
-        "instances": len(instances),
+        "instances": written,
         "out": args.out,
         "per_type": config.per_type,
     }

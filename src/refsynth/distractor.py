@@ -27,7 +27,7 @@ from .reasoning import (
     match,
     tree_categories,
 )
-from .scene_graph import BoundingBox, Corpus, SceneGraph
+from .scene_graph import Corpus, SceneGraph, box_record
 
 DEFAULT_PER_TYPE = 3
 
@@ -138,15 +138,15 @@ def type_predicate(dtype: DistractorType, graph: SceneGraph, expr: ExpressionRec
 class TaskInstance:
     """An expression plus its candidate image pool for evaluation.
 
-    ``candidate_regions`` holds every ground-truth region of the target image
-    and of each distractor image; exactly one region in the whole pool (the
-    target) satisfies the expression's tree.
+    ``candidate_regions`` holds the ``(object id, box record)`` pair of every
+    ground-truth region of the target image and of each distractor image;
+    exactly one region in the pool (the target) satisfies the expression's tree.
     """
 
     expression: ExpressionRecord
     target_image: str
     distractors: dict[DistractorType, tuple[str, ...]]
-    candidate_regions: dict[str, tuple[tuple[str, BoundingBox], ...]]
+    candidate_regions: dict[str, tuple[tuple[str, dict], ...]]
 
     @property
     def images(self) -> tuple[str, ...]:
@@ -161,7 +161,7 @@ class TaskInstance:
             "target_image": self.target_image,
             "distractors": {dtype.value: list(ids) for dtype, ids in self.distractors.items()},
             "candidate_regions": {
-                image_id: _regions_jsonable(regions) for image_id, regions in self.candidate_regions.items()
+                image_id: [list(region) for region in regions] for image_id, regions in self.candidate_regions.items()
             },
         }
 
@@ -198,8 +198,7 @@ class TaskInstance:
                     raise SchemaViolation(
                         f"candidate region of {image_id!r} must be an [object id, box] pair, got {region!r}"
                     )
-                obj_id, box = region
-                parsed.append((obj_id, BoundingBox.from_jsonable(box)))
+                parsed.append((region[0], box_record(region[1])))
             regions[image_id] = tuple(parsed)
         instance = cls(
             expression=ExpressionRecord.from_jsonable(data["expression"]),
@@ -211,11 +210,6 @@ class TaskInstance:
         if unlisted:
             raise SchemaViolation(f"no candidate_regions entry for images {unlisted}")
         return instance
-
-
-def _regions_jsonable(regions: tuple[tuple[str, BoundingBox], ...]) -> list:
-    """One image's ``candidate_regions`` entry: a list of ``[object id, box]`` pairs."""
-    return [[obj_id, box.to_jsonable()] for obj_id, box in regions]
 
 
 def instance_line(instance: TaskInstance, region_json: dict[str, str]) -> str:
@@ -231,8 +225,8 @@ def instance_line(instance: TaskInstance, region_json: dict[str, str]) -> str:
     for image_id in sorted(instance.candidate_regions):
         member = region_json.get(image_id)
         if member is None:
-            regions = _regions_jsonable(instance.candidate_regions[image_id])
-            member = region_json[image_id] = f"{json.dumps(image_id)}: {json.dumps(regions, sort_keys=True)}"
+            encoded = json.dumps(instance.candidate_regions[image_id], sort_keys=True)
+            member = region_json[image_id] = f"{json.dumps(image_id)}: {encoded}"
         members.append(member)
     rest = replace(instance, candidate_regions={}).to_jsonable()
     del rest["candidate_regions"]

@@ -23,7 +23,7 @@ from .distractor import DistractorType, TaskInstance
 from .errors import DataError, KeyMismatch, NoCandidates, EmptyInput
 from .expression import ExpressionRecord
 from .reasoning import match
-from .scene_graph import BoundingBox, Corpus
+from .scene_graph import Corpus
 from .util import hash_uniform, load_json
 
 
@@ -55,15 +55,17 @@ def setting_images(instance: TaskInstance, setting: Setting) -> tuple[str, ...]:
     return (instance.target_image,) + instance.distractors[_SETTING_TYPE[setting]]
 
 
-Region = tuple[str, str, BoundingBox]  # (image id, object id, box)
+Region = tuple[str, str, dict]  # (image id, object id, box record)
 
 
 class RegionScorer(Protocol):
     """Anything that can rate how well a region fits an expression.
 
-    A scorer may also define ``score_batch(expression, regions)``, which
-    takes a sequence of :data:`Region` triples and returns their scores in
-    the same order; :func:`score_regions` prefers it when present.
+    ``box`` is the region's checked ``{"x", "y", "w", "h"}`` box record, as
+    the instance file holds it.  A scorer may also define
+    ``score_batch(expression, regions)``, which takes a sequence of
+    :data:`Region` triples and returns their scores in the same order;
+    :func:`score_regions` prefers it when present.
     """
 
     def score(
@@ -71,7 +73,7 @@ class RegionScorer(Protocol):
         expression: ExpressionRecord,
         image_id: str,
         object_id: str,
-        box: BoundingBox,
+        box: dict,
     ) -> float: ...
 
 
@@ -99,13 +101,10 @@ class OracleScorer:
 
 
 class ConstantScorer:
-    """Scores every region the same; selection falls through to tie-breaking."""
-
-    def __init__(self, value: float = 0.0) -> None:
-        self.value = value
+    """Scores every region 0; selection falls through to tie-breaking."""
 
     def score(self, expression, image_id, object_id, box):
-        return self.value
+        return 0.0
 
 
 class HashRandomScorer:
@@ -161,11 +160,11 @@ class SubprocessScorer:
     """Bridges to a model running as a child process, one JSON line per query.
 
     Each request is a single line ``{"box": ..., "expr_id": ..., "image_id":
-    ..., "object_id": ..., "text": ...}`` on the child's stdin; the child must
-    answer each with one line ``{"score": <number>}`` on stdout, in request
-    order.  :meth:`score_batch` writes a whole batch from a writer thread
-    while it reads the answers, so the child may receive every request of a
-    batch before it answers the first.  Use as a context manager so the
+    ..., "object_id": ..., "text": ...}`` on the child's stdin, the box as read;
+    the child must answer each with one line ``{"score": <number>}`` on stdout,
+    in request order.  :meth:`score_batch` writes a whole batch from a writer
+    thread while it reads the answers, so the child may receive every request
+    of a batch before it answers the first.  Use as a context manager so the
     child is reaped.
     """
 
@@ -213,7 +212,7 @@ class SubprocessScorer:
         requests = "".join(
             json.dumps(
                 {
-                    "box": box.to_jsonable(),
+                    "box": box,
                     "expr_id": expression.expr_id,
                     "image_id": image_id,
                     "object_id": object_id,

@@ -32,7 +32,7 @@ from .reasoning import (
     tree_from_jsonable,
     tree_to_jsonable,
 )
-from .scene_graph import BoundingBox, SceneGraph, SynonymTable
+from .scene_graph import SceneGraph, SynonymTable, box_record
 from .util import load_json, ordinal_word
 
 
@@ -179,7 +179,7 @@ class ExpressionRecord:
     tree: ReasoningTree
     image_id: str
     target_id: str
-    target_box: BoundingBox | None
+    target_box: dict | None
 
     @property
     def word_count(self) -> int:
@@ -194,7 +194,7 @@ class ExpressionRecord:
             "tree": tree_to_jsonable(self.tree),
             "image_id": self.image_id,
             "target_id": self.target_id,
-            "target_box": self.target_box.to_jsonable() if self.target_box else None,
+            "target_box": self.target_box,
         }
 
     @classmethod
@@ -212,16 +212,21 @@ class ExpressionRecord:
             tokens = tuple((surface, TokenRole(role)) for surface, role in data["tokens"])
         except (ValueError, TypeError) as exc:
             raise SchemaViolation(f"bad expression record: {exc}") from exc
+        if not all(isinstance(surface, str) for surface, _ in tokens):
+            raise SchemaViolation(f"token surfaces must be strings, got {data['tokens']!r}")
+        tree = tree_from_jsonable(data["tree"])
+        if tree.form is not form:
+            raise SchemaViolation(f"record form {form.value!r} differs from its tree's form {tree.form.value!r}")
         box = data.get("target_box")
         return cls(
             expr_id=data["expr_id"],
             text=data["text"],
             tokens=tokens,
             form=form,
-            tree=tree_from_jsonable(data["tree"]),
+            tree=tree,
             image_id=data["image_id"],
             target_id=data["target_id"],
-            target_box=BoundingBox.from_jsonable(box) if box else None,
+            target_box=None if box is None else box_record(box),
         )
 
 
@@ -278,7 +283,7 @@ def fill(
     expr_id: str = "",
     image_id: str = "",
     target_id: str = "",
-    target_box: BoundingBox | None = None,
+    target_box: dict | None = None,
 ) -> ExpressionRecord:
     """Render a tree through a template into an expression record.
 
@@ -387,7 +392,6 @@ class GenerationConfig:
     templates: tuple[Template, ...]
     synonyms: SynonymTable
     lexicon: Mapping[str, str]
-    forms: tuple[LogicForm, ...] = tuple(LogicForm)
     max_per_region: int = 2
     synonym_probability: float = 0.3
     compose_probability: float = 0.5
@@ -430,9 +434,9 @@ def generate(
     own image (guaranteed by the parsers and rechecked by their contract).
     """
     records: list[ExpressionRecord] = []
-    order = list(config.forms)
+    order = list(LogicForm)
     rng.shuffle(order)
-    box = graph.node(target).box
+    box = graph.node(target).box.to_jsonable()
     for form in order:
         if len(records) >= config.max_per_region:
             break

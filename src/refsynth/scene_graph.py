@@ -21,6 +21,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_MIN_AREA_RATIO = 0.01
 DEFAULT_CATEGORY_BLACKLIST = frozenset({"sky", "cloud"})
+_NUMBER_TYPES = frozenset({int, float})
 
 
 @dataclass(frozen=True)
@@ -31,12 +32,6 @@ class BoundingBox:
     y: float
     w: float
     h: float
-
-    def __post_init__(self) -> None:
-        if self.w <= 0 or self.h <= 0:
-            raise SchemaViolation(f"box sides must be positive, got w={self.w} h={self.h}")
-        if self.x < 0 or self.y < 0:
-            raise SchemaViolation(f"box origin must be non-negative, got x={self.x} y={self.y}")
 
     @property
     def area(self) -> float:
@@ -49,12 +44,24 @@ class BoundingBox:
     def to_jsonable(self) -> dict:
         return {"x": self.x, "y": self.y, "w": self.w, "h": self.h}
 
-    @classmethod
-    def from_jsonable(cls, data: Mapping) -> "BoundingBox":
-        try:
-            return cls(x=data["x"], y=data["y"], w=data["w"], h=data["h"])
-        except (KeyError, TypeError) as exc:
-            raise SchemaViolation(f"bad bounding box record: {data!r}") from exc
+
+def box_record(data: object) -> dict:
+    """The checked ``{"x", "y", "w", "h"}`` dict of a box; other keys are dropped.
+
+    The one box rule, for the corpus and every record: each value is an int
+    or a float, not a bool; ``w`` and ``h`` are positive, ``x`` and ``y`` not
+    negative.
+    """
+    try:
+        x, y, w, h = data["x"], data["y"], data["w"], data["h"]
+    except (KeyError, TypeError, IndexError) as exc:
+        raise SchemaViolation(f"box must be an object with x, y, w and h, got {data!r}") from exc
+    # Exact types, which bool is not; cheaper than isinstance on this hot path.
+    if not {type(x), type(y), type(w), type(h)} <= _NUMBER_TYPES:
+        raise SchemaViolation(f"box x, y, w and h must be numbers, got {data!r}")
+    if not (w > 0 and h > 0 and x >= 0 and y >= 0):  # written so that NaN fails too
+        raise SchemaViolation(f"box needs positive sides and a non-negative origin, got {x=} {y=} {w=} {h=}")
+    return {"x": x, "y": y, "w": w, "h": h}
 
 
 @dataclass
@@ -120,9 +127,9 @@ class SceneGraph:
         return {c: tuple(ns) for c, ns in grouped.items()}
 
     @cached_property
-    def regions(self) -> tuple[tuple[str, BoundingBox], ...]:
-        """Every ``(object id, box)`` pair in object-id order; built once and shared."""
-        return tuple((n.id, n.box) for n in self.nodes)
+    def regions(self) -> tuple[tuple[str, dict], ...]:
+        """Every ``(object id, box record)`` pair in object-id order; built once and shared."""
+        return tuple((n.id, n.box.to_jsonable()) for n in self.nodes)
 
     @cached_property
     def _out_edges(self) -> dict[str, tuple[RelationEdge, ...]]:
@@ -264,17 +271,11 @@ def _parse_graph(image_id: str, payload: Mapping, synonyms: SynonymTable) -> Sce
     for obj_id, raw in raw_objects.items():
         _require(isinstance(obj_id, str) and bool(obj_id), f"image {image_id!r}: bad object id {obj_id!r}")
         _require(isinstance(raw, dict), f"object {image_id!r}/{obj_id!r}: entry must be an object")
-        for key in ("name", "x", "y", "w", "h"):
-            _require(key in raw, f"object {image_id!r}/{obj_id!r}: missing {key!r}")
+        _require("name" in raw, f"object {image_id!r}/{obj_id!r}: missing 'name'")
         name = raw["name"]
         _require(isinstance(name, str) and bool(name), f"object {image_id!r}/{obj_id!r}: bad name {name!r}")
-        for key in ("x", "y", "w", "h"):
-            _require(
-                isinstance(raw[key], (int, float)) and not isinstance(raw[key], bool),
-                f"object {image_id!r}/{obj_id!r}: {key!r} must be a number",
-            )
         try:
-            box = BoundingBox(x=raw["x"], y=raw["y"], w=raw["w"], h=raw["h"])
+            box = BoundingBox(**box_record(raw))
         except SchemaViolation as exc:
             raise SchemaViolation(f"object {image_id!r}/{obj_id!r}: {exc}") from exc
         _require(

@@ -72,6 +72,22 @@ def instances(corpus, expressions, lexicon):
     return [inst for inst in found if inst is not None]
 
 
+# Edits that break the one box rule, applied to any mapping that holds a
+# valid box under "x", "y", "w" and "h": a corpus object, a target_box or a
+# candidate region's box.
+BAD_BOX_EDITS = {
+    "missing-key": lambda raw: {k: v for k, v in raw.items() if k != "h"},
+    "bool": lambda raw: {**raw, "x": True},
+    "string": lambda raw: {**raw, "w": "5"},
+    "null": lambda raw: {**raw, "y": None},
+    "zero-width": lambda raw: {**raw, "w": 0},
+    "negative-height": lambda raw: {**raw, "h": -4},
+    "negative-x": lambda raw: {**raw, "x": -1},
+    "negative-y": lambda raw: {**raw, "y": -2},
+    "nan-width": lambda raw: {**raw, "w": float("nan")},
+}
+
+
 def box(x=0, y=0, w=50, h=50) -> BoundingBox:
     return BoundingBox(x=x, y=y, w=w, h=h)
 

@@ -18,7 +18,7 @@ from refsynth.cli import main
 from refsynth.distractor import TaskInstance
 from refsynth.scene_graph import load_corpus_path
 
-from .conftest import CORPUS_PATH, PIPELINE_SEED
+from .conftest import BAD_BOX_EDITS, CORPUS_PATH, PIPELINE_SEED
 
 # sha256 of the generate and distract outputs on the fixture corpus at
 # PIPELINE_SEED, so that no refactor of either stage changes a byte unseen.
@@ -158,8 +158,10 @@ class TestDistract:
         lambda payload: {**payload, "tree": {**payload["tree"], "root": {"category": ["x"]}}},
         lambda payload: _with_order_index(payload, True),
         lambda payload: _with_order_index(payload, 1.0),
+        lambda payload: {**payload, "form": "not"},
+        lambda payload: {**payload, "tokens": [[5, "function-word"], *payload["tokens"][1:]]},
     ], ids=["non-object", "list-image-id", "int-target-id", "list-tree-category",
-            "bool-order-index", "float-order-index"])
+            "bool-order-index", "float-order-index", "form-not-the-tree-form", "int-token-surface"])
     def test_malformed_record_exits_3_naming_its_line(self, pipeline_dir, tmp_path, caplog, edit):
         # The first expression is "the first ... from the right": an order
         # index of 1, which true and 1.0 would pass for if they were read.
@@ -175,6 +177,16 @@ class TestDistract:
         assert code == 3
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1 and f"{path}:2:" in errors[0]
+
+    def test_no_full_set_exits_4_and_leaves_no_output(self, pipeline_dir, tmp_path):
+        out = tmp_path / "out.jsonl"
+        out.write_text("stale\n")
+        code = main([
+            "distract", "--corpus", CORPUS_PATH, "--per-type", "20",
+            "--expressions", str(pipeline_dir / "expressions.jsonl"), "--out", str(out),
+        ])
+        assert code == 4
+        assert not out.exists()
 
     def test_empty_expressions_file_exits_4(self, tmp_path):
         empty = tmp_path / "expressions.jsonl"
@@ -271,6 +283,48 @@ class TestInstancesAgainstTheCorpus:
         assert second["expression"]["expr_id"] in errors[0]
 
 
+def _first_region_box_edited(payload, edit):
+    regions = payload["candidate_regions"][payload["target_image"]]
+    regions[0] = [regions[0][0], edit(regions[0][1])]
+    return payload
+
+
+class TestBoxRule:
+    """A record's box breaking the corpus's box rule exits 3 naming its line."""
+
+    def _second_line_exits_3(self, argv, flag, lines, tmp_path, caplog):
+        path = tmp_path / "input.jsonl"
+        path.write_text("".join(json.dumps(p) + "\n" for p in lines))
+        with caplog.at_level(logging.ERROR, logger="refsynth"):
+            code = main([*argv, flag, str(path)])
+        assert code == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and f"{path}:2:" in errors[0]
+
+    @pytest.mark.parametrize("command", ["distract", "stats"])
+    @pytest.mark.parametrize("edit", BAD_BOX_EDITS.values(), ids=BAD_BOX_EDITS)
+    def test_bad_target_box(self, pipeline_dir, tmp_path, caplog, command, edit):
+        first, second = read_lines(pipeline_dir / "expressions.jsonl")[:2]
+        second["target_box"] = edit(second["target_box"])
+        argv = {
+            "distract": ["distract", "--corpus", CORPUS_PATH, "--out", str(tmp_path / "out.jsonl")],
+            "stats": ["stats", "--json"],
+        }[command]
+        self._second_line_exits_3(argv, "--expressions", (first, second), tmp_path, caplog)
+
+    @pytest.mark.parametrize("command", ["split", "stats", "eval"])
+    @pytest.mark.parametrize("edit", BAD_BOX_EDITS.values(), ids=BAD_BOX_EDITS)
+    def test_bad_region_box(self, pipeline_dir, tmp_path, caplog, command, edit):
+        first, second = read_lines(pipeline_dir / "instances.jsonl")[:2]
+        argv = {
+            "split": ["split", "--out-dir", str(tmp_path / "split")],
+            "stats": ["stats", "--json"],
+            "eval": ["eval", "--scorer", "constant"],
+        }[command]
+        lines = (first, _first_region_box_edited(second, edit))
+        self._second_line_exits_3(argv, "--instances", lines, tmp_path, caplog)
+
+
 class TestSplit:
     def test_partitions_cover_everything(self, pipeline_dir, tmp_path):
         assert main([
@@ -284,6 +338,28 @@ class TestSplit:
         assert not (images["train"] & images["val"])
         assert not (images["train"] & images["test"])
         assert not (images["val"] & images["test"])
+
+    def test_unknown_keys_are_dropped(self, pipeline_dir, tmp_path):
+        # Distract's lines are canonical; split writes each one back without
+        # the keys an instance, its expression or a box does not define.
+        lines = (pipeline_dir / "instances.jsonl").read_text().splitlines()
+        padded = []
+        for line in lines:
+            payload = json.loads(line)
+            payload["note"] = 1
+            payload["expression"]["note"] = 2
+            for regions in payload["candidate_regions"].values():
+                for _, box in regions:
+                    box["label"] = "cup"
+            padded.append(json.dumps(payload))
+        path = tmp_path / "padded.jsonl"
+        path.write_text("".join(line + "\n" for line in padded))
+        assert main(["split", "--instances", str(path), "--out-dir", str(tmp_path / "split")]) == 0
+        written = [
+            line for name in ("train", "val", "test")
+            for line in (tmp_path / "split" / f"{name}.jsonl").read_text().splitlines()
+        ]
+        assert sorted(written) == sorted(lines)
 
     def test_malformed_ratios_exit_2(self, pipeline_dir, tmp_path):
         code = main([

@@ -30,7 +30,7 @@ from refsynth.reasoning import (
     match,
     tree_categories,
 )
-from refsynth.scene_graph import BoundingBox, Corpus, SynonymTable
+from refsynth.scene_graph import Corpus, SynonymTable
 
 from .conftest import box, build_graph
 from .oracles import brute_force_match, brute_force_skeleton
@@ -205,9 +205,9 @@ class TestFindDistractors:
         assert "p0" not in instance.images
         assert set(instance.candidate_regions) == set(instance.images)
         assert instance.candidate_regions["t0"] == (
-            ("o1", corpus.graphs["t0"].node("o1").box),
-            ("o2", corpus.graphs["t0"].node("o2").box),
-            ("o3", corpus.graphs["t0"].node("o3").box),
+            ("o1", corpus.graphs["t0"].node("o1").box.to_jsonable()),
+            ("o2", corpus.graphs["t0"].node("o2").box.to_jsonable()),
+            ("o3", corpus.graphs["t0"].node("o3").box.to_jsonable()),
         )
 
     def test_shortage_discards_the_expression(self):
@@ -349,13 +349,12 @@ ids = st.one_of(
     st.integers(0, 120).map(str),
     st.sampled_from(['"', "\\", '\\"', "é", "日本", "\u2028", "\x00"]),
 )
-boxes = st.builds(
-    BoundingBox,
-    x=st.one_of(st.integers(0, 900), st.floats(0, 900)),
-    y=st.one_of(st.integers(0, 900), st.floats(0, 900)),
-    w=st.one_of(st.integers(1, 900), st.floats(0.01, 900)),
-    h=st.one_of(st.integers(1, 900), st.floats(0.01, 900)),
-)
+boxes = st.fixed_dictionaries({
+    "x": st.one_of(st.integers(0, 900), st.floats(0, 900)),
+    "y": st.one_of(st.integers(0, 900), st.floats(0, 900)),
+    "w": st.one_of(st.integers(1, 900), st.floats(0.01, 900)),
+    "h": st.one_of(st.integers(1, 900), st.floats(0.01, 900)),
+})
 
 
 @st.composite

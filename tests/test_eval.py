@@ -236,7 +236,7 @@ class TestSubprocessScorer:
             for image_id in pool:
                 for object_id, box in instance.candidate_regions[image_id]:
                     expected.append({
-                        "box": box.to_jsonable(),
+                        "box": box,
                         "expr_id": instance.expression.expr_id,
                         "image_id": image_id,
                         "object_id": object_id,

@@ -14,6 +14,7 @@ from refsynth.scene_graph import (
     ObjectNode,
     RelationEdge,
     SynonymTable,
+    box_record,
     corpus_to_jsonable,
     eligible_targets,
     load_corpus,
@@ -21,7 +22,7 @@ from refsynth.scene_graph import (
     target_exclusion_reason,
 )
 
-from .conftest import box, build_graph
+from .conftest import BAD_BOX_EDITS, box, build_graph
 
 
 class TestBoundingBox:
@@ -35,11 +36,35 @@ class TestBoundingBox:
         params = dict(x=0, y=0, w=10, h=10)
         params.update(bad)
         with pytest.raises(SchemaViolation):
-            BoundingBox(**params)
+            box_record(params)
 
     def test_json_round_trip(self):
         b = BoundingBox(x=1, y=2, w=3, h=4)
-        assert BoundingBox.from_jsonable(b.to_jsonable()) == b
+        assert BoundingBox(**box_record(b.to_jsonable())) == b
+
+
+class TestBoxRecord:
+    """One box rule, for the corpus loader and for every record."""
+
+    @pytest.mark.parametrize("edit", BAD_BOX_EDITS.values(), ids=BAD_BOX_EDITS)
+    def test_rejects_a_bad_box(self, edit):
+        with pytest.raises(SchemaViolation):
+            box_record(edit({"x": 1, "y": 2, "w": 30, "h": 40}))
+
+    @pytest.mark.parametrize("edit", BAD_BOX_EDITS.values(), ids=BAD_BOX_EDITS)
+    def test_load_corpus_rejects_a_bad_box_naming_the_object(self, edit):
+        doc = _doc({"o1": edit({"name": "cup", "x": 1, "y": 2, "w": 30, "h": 40})})
+        with pytest.raises(SchemaViolation, match="'img'/'o1'"):
+            load_corpus(io.StringIO(doc))
+
+    @pytest.mark.parametrize("data", [None, [1, 2, 3, 4], "xywh", 5])
+    def test_rejects_a_non_object(self, data):
+        with pytest.raises(SchemaViolation):
+            box_record(data)
+
+    def test_keeps_the_four_keys_only(self):
+        data = {"h": 4.5, "w": 3, "y": 0, "x": 0.0, "label": "cup"}
+        assert box_record(data) == {"x": 0.0, "y": 0, "w": 3, "h": 4.5}
 
 
 class TestObjectNode:
