@@ -86,32 +86,26 @@ def is_spatial_only(tree: ReasoningTree, spatial: Iterable[str] = DEFAULT_SPATIA
 
 
 def split(
-    instances: Sequence[TaskInstance],
+    image_ids: Iterable[str],
     ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
     seed: int = 0,
-) -> tuple[list[TaskInstance], list[TaskInstance], list[TaskInstance]]:
-    """Partition instances into train/val/test by target image.
+) -> dict[str, int]:
+    """Assign each image to train (0), val (1) or test (2).
 
-    All instances of one image land in the same partition.  Image membership
-    is decided by a seeded shuffle plus ratio rounding, so partition sizes in
-    images are within one of the exact ratios and the split is reproducible
-    from the seed alone.
+    The distinct images are sorted, shuffled with ``seed`` and cut by
+    rounding, so part sizes in images are within one of the exact ratios and
+    the assignment is reproducible from the seed alone.  Partitioning by
+    image keeps every instance of one image in the same part.
     """
     if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must be three positive numbers summing to 1, got {ratios}")
-    images = sorted({inst.target_image for inst in instances})
+    images = sorted(set(image_ids))
     rng = random.Random(seed)
     rng.shuffle(images)
     n = len(images)
     first = round(n * ratios[0])
     second = round(n * (ratios[0] + ratios[1]))
-    assignment: dict[str, int] = {}
-    for i, image_id in enumerate(images):
-        assignment[image_id] = 0 if i < first else (1 if i < second else 2)
-    parts: tuple[list[TaskInstance], ...] = ([], [], [])
-    for inst in instances:
-        parts[assignment[inst.target_image]].append(inst)
-    return parts
+    return {image_id: 0 if i < first else (1 if i < second else 2) for i, image_id in enumerate(images)}
 
 
 @dataclass

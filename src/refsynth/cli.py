@@ -9,7 +9,8 @@ dataset, ``eval`` scores models under the multi-image protocol,
 
 Exit codes: 0 on success, 2 for configuration problems, 3 for malformed
 data, 4 when a stage produces nothing.  Logs go to stderr; every command
-prints a one-object JSON summary to stdout.
+prints a one-object JSON summary to stdout.  Records are written as they
+are produced, and a command that fails removes the files it was writing.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ import math
 import os
 import shlex
 import sys
-from typing import IO, Callable, Iterable, Sequence, TypeVar
+import tempfile
+from collections import Counter
+from typing import IO, Callable, Iterator, Sequence, TypeVar
 
 from .balance import compute_stats, format_stats_table, is_spatial_only, relation_weights, split
 from .config import load_config
@@ -58,7 +61,7 @@ from .scene_graph import (
     load_synonyms,
     target_exclusion_reason,
 )
-from .util import derive_rng, hash_uniform, read_jsonl, write_jsonl
+from .util import derive_rng, hash_uniform, read_jsonl
 
 log = logging.getLogger("refsynth")
 T = TypeVar("T")
@@ -76,9 +79,27 @@ def _print_summary(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _write_jsonl(path: str, payloads: Iterable[dict]) -> int:
-    with open(path, "w", encoding="utf-8") as handle:
-        return write_jsonl(payloads, handle)
+@contextlib.contextmanager
+def _outputs(*paths: str | None) -> Iterator[tuple[IO[str] | None, ...]]:
+    """Open each path for writing (``None`` for a path that is ``None``).
+
+    Every command writes its records through this, one at a time as they
+    are produced.  If the body raises, each file opened here is closed and
+    removed, so a failed command leaves no partial or stale output.
+    """
+    with contextlib.ExitStack() as stack:
+        handles: list[IO[str] | None] = []
+        try:
+            for path in paths:
+                handles.append(None if path is None else stack.enter_context(open(path, "w", encoding="utf-8")))
+            yield tuple(handles)
+        except BaseException:
+            stack.close()
+            for path, handle in zip(paths, handles):
+                if handle is not None:
+                    with contextlib.suppress(OSError):
+                        os.remove(path)
+            raise
 
 
 def _load(path: str | None, loader: Callable[[IO], T], default: Callable[[], T] | None = None) -> T:
@@ -157,42 +178,39 @@ def cmd_generate(args: argparse.Namespace) -> int:
     total_targets = sum(len(targets) for targets in targets_per_image)
 
     work = functools.partial(_expressions_for_image, gen_config=gen_config, seed=config.seed)
-    if config.workers > 1:
-        # One contiguous chunk per worker; map returns results in corpus order.
-        chunksize = max(1, math.ceil(len(graphs) / config.workers))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            per_image = list(pool.map(work, graphs, targets_per_image, chunksize=chunksize))
-    else:
-        per_image = list(map(work, graphs, targets_per_image))
-
-    records = [r for image_records in per_image for r in image_records]
-    dropped_spatial = 0
-    if config.drop_spatial_only:
-        kept = [r for r in records if not is_spatial_only(r.tree)]
-        dropped_spatial = len(records) - len(kept)
-        records = kept
-
-    if not records:
-        raise EmptyResult("no expressions were generated")
-
-    count = _write_jsonl(args.out, (r.to_jsonable() for r in records))
     per_form: dict[str, int] = {}
-    for record in records:
-        per_form[record.form.value] = per_form.get(record.form.value, 0) + 1
+    dropped_spatial = 0
+    with contextlib.ExitStack() as stack:
+        out, log_file = stack.enter_context(_outputs(args.out, args.log))
+        if config.workers > 1:
+            # One contiguous chunk per worker; map yields results in corpus order.
+            chunksize = max(1, math.ceil(len(graphs) / config.workers))
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=config.workers))
+            per_image = pool.map(work, graphs, targets_per_image, chunksize=chunksize)
+        else:
+            per_image = map(work, graphs, targets_per_image)
+        for image_records in per_image:
+            for record in image_records:
+                if config.drop_spatial_only and is_spatial_only(record.tree):
+                    dropped_spatial += 1
+                    continue
+                out.write(json.dumps(record.to_jsonable(), sort_keys=True) + "\n")
+                per_form[record.form.value] = per_form.get(record.form.value, 0) + 1
+        if not per_form:
+            raise EmptyResult("no expressions were generated")
 
-    report = {
-        "excluded_targets": excluded,
-        "expressions": count,
-        "images": len(corpus.graphs),
-        "out": args.out,
-        "per_form": per_form,
-        "spatial_only_dropped": dropped_spatial,
-        "targets": total_targets,
-    }
-    if args.log:
-        with open(args.log, "w", encoding="utf-8") as handle:
-            json.dump({"config": config.to_jsonable(), **report}, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        report = {
+            "excluded_targets": excluded,
+            "expressions": sum(per_form.values()),
+            "images": len(corpus.graphs),
+            "out": args.out,
+            "per_form": per_form,
+            "spatial_only_dropped": dropped_spatial,
+            "targets": total_targets,
+        }
+        if log_file is not None:
+            json.dump({"config": config.to_jsonable(), **report}, log_file, indent=2, sort_keys=True)
+            log_file.write("\n")
     _print_summary(report)
     return 0
 
@@ -227,47 +245,59 @@ def _checked_instance(corpus: Corpus | None, payload: object) -> TaskInstance:
     return instance
 
 
+def _same_file(path: str, other: str) -> bool:
+    try:
+        return os.path.samefile(path, other)
+    except OSError:
+        return False
+
+
 def cmd_distract(args: argparse.Namespace) -> int:
     config = load_config(args.config, seed=args.seed, per_type=args.per_type)
+    for flag, path in (("--out", args.out), ("--log", args.log)):
+        # The outputs are opened before the expressions are read, which would empty the input.
+        if path is not None and _same_file(path, args.expressions):
+            raise ConfigError(f"{flag} {path} is the --expressions file")
     lexicon = _load(args.lexicon, load_attribute_lexicon, default_attribute_lexicon)
     corpus = _load_corpus(args)
-    records = list(read_jsonl(args.expressions, functools.partial(_checked_expression, corpus, lexicon)))
-    if not records:
-        raise EmptyInput(f"no expressions in {args.expressions}")
+    expressions = read_jsonl(args.expressions, functools.partial(_checked_expression, corpus, lexicon))
 
-    written = 0
-    discarded: list[dict] = []
+    written = discarded = 0
     scans: dict = {}  # tree -> slots; sound because every record matches exactly its target
     region_json: dict[str, str] = {}
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for record in records:
+    with _outputs(args.out, args.log) as (out, log_file):
+        # The log is json.dump(..., indent=2, sort_keys=True) of the report
+        # plus "discard_details", which sorts first, so the details are
+        # written as they are found and the report follows them.
+        if log_file is not None:
+            log_file.write('{\n  "discard_details": [')
+        for record in expressions:
             instance = find_distractors(corpus, record, config.per_type, lexicon, scans)
-            if instance is None:
-                missing = missing_counts(corpus, record, config.per_type, lexicon, scans)
-                discarded.append(
-                    {
-                        "expr_id": record.expr_id,
-                        "missing": {t.value: n for t, n in missing.items() if n},
-                    }
-                )
+            if instance is not None:
+                out.write(instance_line(instance, region_json) + "\n")
+                written += 1
                 continue
-            handle.write(instance_line(instance, region_json) + "\n")
-            written += 1
-    if not written:
-        os.remove(args.out)
-        raise EmptyResult("no expression found a full distractor set")
+            missing = missing_counts(corpus, record, config.per_type, lexicon, scans)
+            if log_file is not None:
+                detail = {"expr_id": record.expr_id, "missing": {t.value: n for t, n in missing.items() if n}}
+                encoded = json.dumps(detail, indent=2, sort_keys=True).replace("\n", "\n    ")
+                log_file.write(("," if discarded else "") + "\n    " + encoded)
+            discarded += 1
+        if not written + discarded:
+            raise EmptyInput(f"no expressions in {args.expressions}")
+        if not written:
+            raise EmptyResult("no expression found a full distractor set")
 
-    report = {
-        "discarded": len(discarded),
-        "expressions": len(records),
-        "instances": written,
-        "out": args.out,
-        "per_type": config.per_type,
-    }
-    if args.log:
-        with open(args.log, "w", encoding="utf-8") as handle:
-            json.dump({**report, "discard_details": discarded}, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        report = {
+            "discarded": discarded,
+            "expressions": written + discarded,
+            "instances": written,
+            "out": args.out,
+            "per_type": config.per_type,
+        }
+        if log_file is not None:
+            rest = json.dumps(report, indent=2, sort_keys=True)[len("{"):]
+            log_file.write(("\n  ]," if discarded else "],") + rest + "\n")
     _print_summary(report)
     return 0
 
@@ -281,20 +311,34 @@ def cmd_split(args: argparse.Namespace) -> int:
             raise ConfigError(f"bad --ratios value {args.ratios!r}") from exc
         ratios = parts
     config = load_config(args.config, seed=args.seed, split_ratios=ratios)
-    instances = list(read_jsonl(args.instances, TaskInstance.from_jsonable))
-    if not instances:
-        raise EmptyInput(f"no instances in {args.instances}")
-    train, val, test = split(instances, config.split_ratios, config.seed)
-
+    names = ("train", "val", "test")
     os.makedirs(args.out_dir, exist_ok=True)
+    # Each line is parsed and its normalized form spooled, keyed by its
+    # target image, before any part is opened, so a bad line leaves no part
+    # behind; only the image ids stay in memory.
+    with tempfile.TemporaryFile("w+", encoding="utf-8", dir=args.out_dir) as spool:
+        images: set[str] = set()
+        for instance in read_jsonl(args.instances, TaskInstance.from_jsonable):
+            images.add(instance.target_image)
+            line = json.dumps(instance.to_jsonable(), sort_keys=True)
+            spool.write(f"{json.dumps(instance.target_image)}\t{line}\n")
+        if not images:
+            raise EmptyInput(f"no instances in {args.instances}")
+        part_of = split(images, config.split_ratios, config.seed)
+
+        spool.seek(0)
+        instances = [0, 0, 0]
+        with _outputs(*(os.path.join(args.out_dir, f"{name}.jsonl") for name in names)) as parts:
+            for entry in spool:
+                image_id, _, line = entry.partition("\t")
+                part = part_of[json.loads(image_id)]
+                parts[part].write(line)
+                instances[part] += 1
+
     report: dict = {"out_dir": args.out_dir, "ratios": list(config.split_ratios), "seed": config.seed}
-    for name, part in (("train", train), ("val", val), ("test", test)):
-        path = os.path.join(args.out_dir, f"{name}.jsonl")
-        _write_jsonl(path, (i.to_jsonable() for i in part))
-        report[name] = {
-            "images": len({i.target_image for i in part}),
-            "instances": len(part),
-        }
+    image_counts = Counter(part_of.values())
+    for part, name in enumerate(names):
+        report[name] = {"images": image_counts[part], "instances": instances[part]}
     _print_summary(report)
     return 0
 

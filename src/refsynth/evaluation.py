@@ -20,11 +20,11 @@ from itertools import chain
 from typing import IO, Iterable, Mapping, Protocol, Sequence
 
 from .distractor import DistractorType, TaskInstance
-from .errors import DataError, KeyMismatch, NoCandidates, EmptyInput
+from .errors import DataError, EmptyInput, KeyMismatch, MalformedDocument, NoCandidates
 from .expression import ExpressionRecord
 from .reasoning import match
 from .scene_graph import Corpus
-from .util import hash_uniform, load_json
+from .util import decode_json, hash_uniform, load_json
 
 
 class Setting(str, Enum):
@@ -254,9 +254,8 @@ def _read_score(stream: IO[str]) -> float:
     if not line:
         raise DataError("scorer process closed its output")
     try:
-        payload = json.loads(line)
-        value = payload["score"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        value = decode_json(line)["score"]
+    except (json.JSONDecodeError, MalformedDocument, KeyError, TypeError) as exc:
         raise DataError(f"bad scorer response: {line!r}") from exc
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise DataError(f"scorer returned a non-number: {value!r}")

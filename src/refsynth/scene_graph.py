@@ -22,6 +22,7 @@ log = logging.getLogger(__name__)
 DEFAULT_MIN_AREA_RATIO = 0.01
 DEFAULT_CATEGORY_BLACKLIST = frozenset({"sky", "cloud"})
 _NUMBER_TYPES = frozenset({int, float})
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,8 @@ def box_record(data: object) -> dict:
     """The checked ``{"x", "y", "w", "h"}`` dict of a box; other keys are dropped.
 
     The one box rule, for the corpus and every record: each value is an int
-    or a float, not a bool; ``w`` and ``h`` are positive, ``x`` and ``y`` not
-    negative.
+    or a finite float, not a bool; ``w`` and ``h`` are positive, ``x`` and
+    ``y`` not negative.
     """
     try:
         x, y, w, h = data["x"], data["y"], data["w"], data["h"]
@@ -59,8 +60,9 @@ def box_record(data: object) -> dict:
     # Exact types, which bool is not; cheaper than isinstance on this hot path.
     if not {type(x), type(y), type(w), type(h)} <= _NUMBER_TYPES:
         raise SchemaViolation(f"box x, y, w and h must be numbers, got {data!r}")
-    if not (w > 0 and h > 0 and x >= 0 and y >= 0):  # written so that NaN fails too
-        raise SchemaViolation(f"box needs positive sides and a non-negative origin, got {x=} {y=} {w=} {h=}")
+    if not (0 < w < _INF and 0 < h < _INF and 0 <= x < _INF and 0 <= y < _INF):  # NaN fails too
+        raise SchemaViolation(f"box needs finite values, positive sides and a non-negative origin, "
+                              f"got {x=} {y=} {w=} {h=}")
     return {"x": x, "y": y, "w": w, "h": h}
 
 
@@ -341,7 +343,9 @@ def load_corpus(source: IO, synonyms: SynonymTable | None = None) -> Corpus:
         DanglingEdge: a relation points at an object id that does not exist.
     """
     synonyms = synonyms or SynonymTable.empty()
-    data = load_json(source, "corpus")
+    # Every number of a corpus is checked here, so a NaN or an infinity is
+    # reported by the box rule, naming its object.
+    data = load_json(source, "corpus", schema_checks_numbers=True)
     if not isinstance(data, dict):
         raise SchemaViolation("corpus must be a JSON object keyed by image id")
     graphs: dict[str, SceneGraph] = {}

@@ -14,33 +14,59 @@ from .errors import DataError, MalformedDocument
 T = TypeVar("T")
 
 
-def load_json(source: IO, label: str) -> object:
+def _reject_constant(name: str) -> object:
+    raise MalformedDocument(f"{name} is not a JSON value")
+
+
+# Python's json module reads NaN, Infinity and -Infinity, which JSON does not have.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def decode_json(text: str | bytes) -> object:
+    """:func:`json.loads`, except that ``NaN``, ``Infinity`` and ``-Infinity`` are rejected.
+
+    Text that is not JSON raises ``JSONDecodeError`` or ``UnicodeDecodeError``;
+    those three tokens, which are not JSON either, raise
+    :class:`MalformedDocument` naming the token.
+    """
+    if isinstance(text, bytes):
+        text = text.decode(json.detect_encoding(text), "surrogatepass")
+    return _DECODER.decode(text)
+
+
+def load_json(source: IO, label: str, *, schema_checks_numbers: bool = False) -> object:
     """Parse the one JSON document in a text or byte stream.
 
-    Invalid JSON and bytes that are not UTF-8 raise :class:`MalformedDocument`
-    naming the stream's file, or ``label`` when the stream has no name.
+    Invalid JSON, bytes that are not UTF-8 and the tokens ``NaN``,
+    ``Infinity`` and ``-Infinity`` raise :class:`MalformedDocument` naming
+    the stream's file, or ``label`` when the stream has no name.  With
+    ``schema_checks_numbers`` the three tokens are read as floats instead,
+    for a caller whose schema rejects them where they stand, which names
+    the record holding them.
     """
     if not isinstance(source, io.TextIOBase):
         source = codecs.getreader("utf-8")(source)
     try:
-        return json.load(source)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        text = source.read()
+        return json.loads(text) if schema_checks_numbers else decode_json(text)
+    except (json.JSONDecodeError, UnicodeDecodeError, MalformedDocument) as exc:
         raise MalformedDocument(f"{getattr(source, 'name', label)} is not valid JSON: {exc}") from exc
 
 
 def parse_jsonl(lines: Iterable[str | bytes], name: str, parse: Callable[[object], T]) -> Iterator[T]:
     """Decode and parse each non-blank line as it is read.
 
-    A line that is not UTF-8 JSON, or whose object ``parse`` rejects with a
-    :class:`DataError`, stops the read with a ``DataError`` naming
-    ``name:line``; the records before it have already been yielded.
+    A line that is not UTF-8 JSON (see :func:`decode_json`), or whose object
+    ``parse`` rejects with a :class:`DataError`, stops the read with a
+    ``DataError`` naming ``name:line``; the records before it have already
+    been yielded.
     """
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            record = parse(json.loads(line))
+            record = parse(decode_json(line))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"{name}:{lineno} is not valid JSON") from exc
         except DataError as exc:

@@ -85,6 +85,8 @@ BAD_BOX_EDITS = {
     "negative-x": lambda raw: {**raw, "x": -1},
     "negative-y": lambda raw: {**raw, "y": -2},
     "nan-width": lambda raw: {**raw, "w": float("nan")},
+    "infinite-height": lambda raw: {**raw, "h": float("inf")},
+    "infinite-x": lambda raw: {**raw, "x": float("inf")},
 }
 
 

@@ -118,33 +118,34 @@ class TestSpatialOnly:
 
 class TestSplit:
     def test_images_never_straddle_partitions(self, instances):
-        train, val, test = split(instances, seed=3)
-        images = [
-            {i.target_image for i in part} for part in (train, val, test)
-        ]
+        image_of = [i.target_image for i in instances]
+        part_of = split(image_of, seed=3)
+        assert set(part_of) == set(image_of) and set(part_of.values()) <= {0, 1, 2}
+        parts = [[i for i in image_of if part_of[i] == k] for k in range(3)]
+        images = [set(part) for part in parts]
         assert not (images[0] & images[1])
         assert not (images[0] & images[2])
         assert not (images[1] & images[2])
-        assert len(train) + len(val) + len(test) == len(instances)
+        assert sum(len(part) for part in parts) == len(instances)
 
     def test_partition_sizes_track_the_ratios(self, instances):
-        train, val, test = split(instances, (0.5, 0.25, 0.25), seed=1)
+        part_of = split((i.target_image for i in instances), (0.5, 0.25, 0.25), seed=1)
         images = sorted({i.target_image for i in instances})
         n = len(images)
-        sizes = [len({i.target_image for i in part}) for part in (train, val, test)]
+        sizes = [sum(1 for part in part_of.values() if part == k) for k in range(3)]
         for size, ratio in zip(sizes, (0.5, 0.25, 0.25)):
             assert abs(size - n * ratio) <= 1
 
     def test_split_is_reproducible(self, instances):
-        first = split(instances, seed=9)
-        second = split(instances, seed=9)
-        for a, b in zip(first, second):
-            assert [i.expression.expr_id for i in a] == [i.expression.expr_id for i in b]
+        image_of = [i.target_image for i in instances]
+        first = split(image_of, seed=9)
+        second = split(reversed(image_of), seed=9)
+        assert first == second
 
     @pytest.mark.parametrize("ratios", [(0.5, 0.5), (0.9, 0.2, -0.1), (0.5, 0.2, 0.2)])
     def test_bad_ratios_rejected(self, instances, ratios):
         with pytest.raises(ConfigError):
-            split(instances, ratios)
+            split([i.target_image for i in instances], ratios)
 
 
 class TestStats:

@@ -10,6 +10,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -367,6 +368,131 @@ class TestSplit:
             "--out-dir", str(tmp_path), "--ratios", "0.5,0.5",
         ])
         assert code == 2
+
+
+def _nothing_in(directory):
+    return not directory.exists() or not any(directory.iterdir())
+
+
+class TestFailedRunsLeaveNoOutput:
+    """A command that fails removes the files it was writing."""
+
+    @pytest.mark.parametrize("stale", [False, True], ids=["fresh", "stale"])
+    def test_distract_stopped_by_a_bad_line(self, pipeline_dir, tmp_path, stale):
+        # Every line but the last is valid and gives the pinned instances,
+        # which are written before the bad last line is read.
+        assert read_lines(pipeline_dir / "instances.jsonl")
+        path = tmp_path / "expressions.jsonl"
+        path.write_text((pipeline_dir / "expressions.jsonl").read_text() + "{broken\n")
+        out, log = tmp_path / "out.jsonl", tmp_path / "log.json"
+        if stale:
+            out.write_text("stale\n")
+            log.write_text("stale\n")
+        code = main([
+            "distract", "--corpus", CORPUS_PATH, "--expressions", str(path),
+            "--out", str(out), "--log", str(log),
+        ])
+        assert code == 3
+        assert not out.exists() and not log.exists()
+
+    def test_split_stopped_by_a_bad_line(self, pipeline_dir, tmp_path):
+        path = tmp_path / "instances.jsonl"
+        path.write_text((pipeline_dir / "instances.jsonl").read_text() + "{broken\n")
+        out_dir = tmp_path / "split"
+        assert main(["split", "--instances", str(path), "--out-dir", str(out_dir)]) == 3
+        assert _nothing_in(out_dir)
+
+    def test_split_that_cannot_open_a_part(self, pipeline_dir, tmp_path):
+        out_dir = tmp_path / "split"
+        (out_dir / "val.jsonl").mkdir(parents=True)
+        code = main(["split", "--instances", str(pipeline_dir / "instances.jsonl"), "--out-dir", str(out_dir)])
+        assert code == 3
+        # train.jsonl was opened first, and is removed again.
+        assert [p.name for p in out_dir.iterdir()] == ["val.jsonl"]
+
+    def test_generate_that_writes_nothing(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"min_area_ratio": 1.0}))
+        out, log = tmp_path / "out.jsonl", tmp_path / "log.json"
+        out.write_text("stale\n")
+        code = main([
+            "generate", "--corpus", CORPUS_PATH, "--config", str(config),
+            "--out", str(out), "--log", str(log),
+        ])
+        assert code == 4
+        assert not out.exists() and not log.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--log"])
+    def test_distract_writing_over_its_expressions_exits_2(self, pipeline_dir, tmp_path, flag):
+        path = tmp_path / "expressions.jsonl"
+        shutil.copy(pipeline_dir / "expressions.jsonl", path)
+        outputs = {"--out": str(tmp_path / "out.jsonl"), "--log": str(tmp_path / "log.json")}
+        outputs[flag] = str(tmp_path / "." / "expressions.jsonl")  # the same file, spelled differently
+        code = main([
+            "distract", "--corpus", CORPUS_PATH, "--expressions", str(path),
+            *(arg for pair in outputs.items() for arg in pair),
+        ])
+        assert code == 2
+        assert path.read_bytes() == (pipeline_dir / "expressions.jsonl").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expressions.jsonl"]
+
+
+class TestSplitMemory:
+    def test_peak_does_not_grow_with_the_instances(self, pipeline_dir, tmp_path):
+        lines = (pipeline_dir / "instances.jsonl").read_text()
+        peaks = {}
+        for copies in (1, 1, 4):  # the first run warms up what is cached once per process
+            path = tmp_path / f"instances{copies}.jsonl"
+            path.write_text(lines * copies)
+            tracemalloc.start()
+            try:
+                assert main(["split", "--instances", str(path), "--out-dir", str(tmp_path / "split")]) == 0
+                peaks[copies] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4] <= 1.5 * peaks[1], peaks
+
+
+class TestNonStandardNumbers:
+    """NaN, Infinity and -Infinity are not JSON; 1e999 is JSON, but not a finite number."""
+
+    @pytest.mark.parametrize("command", ["split", "eval"])
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_in_a_region_box_exits_3_naming_the_line(self, pipeline_dir, tmp_path, caplog, command, number):
+        first, second = (pipeline_dir / "instances.jsonl").read_text().splitlines()[:2]
+        edited = _first_region_box_edited(json.loads(second), lambda box: {**box, "w": "WIDTH"})
+        path = tmp_path / "instances.jsonl"
+        path.write_text(first + "\n" + json.dumps(edited).replace('"WIDTH"', number) + "\n")
+        out_dir = tmp_path / "split"
+        argv = {
+            "split": ["split", "--out-dir", str(out_dir)],
+            "eval": ["eval", "--scorer", "constant"],
+        }[command]
+        with caplog.at_level(logging.ERROR, logger="refsynth"):
+            code = main([*argv, "--instances", str(path)])
+        assert code == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and f"{path}:2:" in errors[0]
+        assert _nothing_in(out_dir)
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("flag", ["--synonyms", "--lexicon", "--templates", "--config", "--scores-file"])
+    def test_in_a_document_exits_3_naming_the_file(self, pipeline_dir, tmp_path, caplog, flag, number):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"seed": {number}}}')
+        generate = ["generate", "--corpus", CORPUS_PATH, "--out", str(tmp_path / "out.jsonl")]
+        command = {
+            "--synonyms": ["schema-check", "--corpus", CORPUS_PATH],
+            "--lexicon": generate,
+            "--templates": generate,
+            "--config": generate,
+            "--scores-file": ["eval", "--instances", str(pipeline_dir / "instances.jsonl")],
+        }[flag]
+        with caplog.at_level(logging.ERROR, logger="refsynth"):
+            code = main([*command, flag, str(bad)])
+        assert code == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and str(bad) in errors[0] and number in errors[0]
 
 
 class TestStats:

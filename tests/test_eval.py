@@ -220,6 +220,13 @@ class TestSubprocessScorer:
             with pytest.raises(DataError):
                 evaluate(instances[:1], scorer, settings=(Setting.FULL,))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_a_non_standard_number_is_a_bad_response(self, instances, token):
+        child = f"import sys\nfor line in sys.stdin:\n    print('{{\"score\": {token}}}', flush=True)\n"
+        with SubprocessScorer([sys.executable, "-c", child]) as scorer:
+            with pytest.raises(DataError, match="bad scorer response"):
+                evaluate(instances[:1], scorer, settings=(Setting.FULL,))
+
     def test_requests_arrive_once_each_in_first_seen_order(self, instances, tmp_path):
         log = tmp_path / "requests.jsonl"
         child = HASH_CHILD.replace(

@@ -66,6 +66,10 @@ class TestBoxRecord:
         data = {"h": 4.5, "w": 3, "y": 0, "x": 0.0, "label": "cup"}
         assert box_record(data) == {"x": 0.0, "y": 0, "w": 3, "h": 4.5}
 
+    def test_large_finite_values_pass(self):
+        data = {"x": 1e308, "y": 0, "w": 1e308, "h": 10**400}
+        assert box_record(data) == data
+
 
 class TestObjectNode:
     def test_attributes_are_deduped_and_sorted(self):

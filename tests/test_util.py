@@ -3,18 +3,32 @@
 from __future__ import annotations
 
 import io
+import json
 import re
 
 import pytest
 
 from refsynth.errors import DataError, MalformedDocument, SchemaViolation
-from refsynth.util import load_json, parse_jsonl, read_jsonl
+from refsynth.util import decode_json, load_json, parse_jsonl, read_jsonl
+
+NON_STANDARD = ["NaN", "Infinity", "-Infinity"]
 
 
 def positive(payload):
     if not isinstance(payload, int) or payload <= 0:
         raise SchemaViolation(f"not a positive number: {payload!r}")
     return payload
+
+
+class TestDecodeJson:
+    def test_reads_what_json_loads_reads(self):
+        for text in ('{"a": [1, 2.5, "x", null, true]}', b'{"a": 1}', b"\xef\xbb\xbf[1]", "1e999"):
+            assert decode_json(text) == json.loads(text)
+
+    @pytest.mark.parametrize("token", NON_STANDARD)
+    def test_rejects_the_non_standard_numbers(self, token):
+        with pytest.raises(MalformedDocument, match=f"^{token} is not a JSON value$"):
+            decode_json(f'{{"w": [{token}]}}')
 
 
 class TestLoadJson:
@@ -34,6 +48,16 @@ class TestLoadJson:
     def test_falls_back_to_the_label(self, content):
         with pytest.raises(MalformedDocument, match="^corpus is not valid JSON"):
             load_json(io.BytesIO(content), "corpus")
+
+
+    @pytest.mark.parametrize("token", NON_STANDARD)
+    def test_non_standard_numbers_name_the_file(self, token):
+        with pytest.raises(MalformedDocument, match=f"^doc is not valid JSON: {token} is not a JSON value$"):
+            load_json(io.StringIO(f'{{"w": {token}}}'), "doc")
+
+    def test_a_schema_that_checks_numbers_reads_them_as_floats(self):
+        data = load_json(io.StringIO('[NaN, Infinity, -Infinity]'), "doc", schema_checks_numbers=True)
+        assert [repr(x) for x in data] == ["nan", "inf", "-inf"]
 
 
 class TestParseJsonl:
@@ -60,6 +84,12 @@ class TestParseJsonl:
         with pytest.raises(DataError, match=message):
             next(records)
         assert read == ["1", "2", bad]
+
+
+    @pytest.mark.parametrize("token", NON_STANDARD)
+    def test_non_standard_numbers_name_the_line(self, token):
+        with pytest.raises(DataError, match=f"^in\\.jsonl:2: {token} is not a JSON value$"):
+            list(parse_jsonl(["1", f"[{token}]"], "in.jsonl", positive))
 
 
 class TestReadJsonl:
