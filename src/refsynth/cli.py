@@ -416,7 +416,11 @@ def cmd_mine_demo(args: argparse.Namespace) -> int:
             config.seed, count=args.regions, dim=args.dim, category_count=max(2, args.regions // 16)
         )
     table = build_sampling_table(embeddings)
-    usable = sorted(r for r in table.index if table.peers_of(r))
+    first = table.module_names[0]
+    usable = sorted(
+        r for r, (category, _) in table.index.items()
+        if len(table.blocks[(category, first)].region_ids) >= 2
+    )
     if not usable:
         raise EmptyResult("every region is alone in its category; nothing to mine")
 

@@ -109,10 +109,20 @@ def softmax_row(values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ProbabilityBlock:
-    """Sampling rows for one (category, module) group of regions."""
+    """Sampling rows for one (category, module) group of regions.
+
+    Row i of ``cumulative`` holds the running totals of region i's sampling
+    row, so that a draw is one binary search; it is the only n-by-n array a
+    block keeps.
+    """
 
     region_ids: tuple[str, ...]
-    rows: np.ndarray
+    cumulative: np.ndarray
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The probabilities themselves, recovered from the running totals."""
+        return np.diff(self.cumulative, axis=1, prepend=0.0)
 
 
 @dataclass
@@ -129,32 +139,55 @@ class SamplingTable:
     module_names: tuple[str, ...]
     epoch: int = 0
 
-    def peers_of(self, region_id: str) -> tuple[str, ...]:
-        if region_id not in self.index:
-            raise KeyMismatch(f"region {region_id!r} is not in the sampling table")
-        category, position = self.index[region_id]
-        block = self.blocks[(category, self.module_names[0])]
-        return tuple(r for i, r in enumerate(block.region_ids) if i != position)
-
     def sample(self, rng: random.Random, region_id: str, module: str) -> str:
         """Draw one hard-negative peer for a region under one module."""
-        if region_id not in self.index:
-            raise KeyMismatch(f"region {region_id!r} is not in the sampling table")
-        if module not in self.module_names:
-            raise KeyMismatch(f"unknown module {module!r}")
-        category, position = self.index[region_id]
-        block = self.blocks[(category, module)]
-        if len(block.region_ids) < 2:
+        return self._draw(rng, region_id, (module,))[0]
+
+    def _draw(self, rng: random.Random, region_id: str, modules: Sequence[str]) -> list[str]:
+        """One hard-negative peer per module, in the order of ``modules``.
+
+        Each draw takes one ``rng.random()`` value r and returns the first peer
+        whose running total exceeds r.  The zeroed self entry never raises the
+        total, so it is never that peer; r at or above the row's total draws
+        the last peer.  Errors are raised before the rng is consumed.
+        """
+        try:
+            category, position = self.index[region_id]
+        except KeyError:
+            raise KeyMismatch(f"region {region_id!r} is not in the sampling table") from None
+        try:
+            blocks = [self.blocks[(category, module)] for module in modules]
+        except KeyError:
+            unknown = next(m for m in modules if m not in self.module_names)
+            raise KeyMismatch(f"unknown module {unknown!r}") from None
+        region_ids = blocks[0].region_ids
+        last = len(region_ids) - 1
+        if last < 1:
             raise NoPeers(f"region {region_id!r} has no same-category peers")
-        # The first peer whose running total exceeds r.  The zeroed self entry
-        # never raises the total, so it is never that peer; r at or above the
-        # row's total draws the last peer.
-        r = rng.random()
-        last = len(block.region_ids) - 1
-        i = int(np.searchsorted(np.cumsum(block.rows[position]), r, side="right"))
-        if i > last:
-            i = last - 1 if position == last else last
-        return block.region_ids[i]
+        peers = []
+        for block in blocks:
+            i = int(block.cumulative[position].searchsorted(rng.random(), side="right"))
+            if i > last:
+                i = last - 1 if position == last else last
+            peers.append(region_ids[i])
+        return peers
+
+
+def _stack_module(group: Sequence[ModularEmbedding], category: str, name: str) -> np.ndarray:
+    """One row per region of one module's vectors, all finite and of one length."""
+    try:
+        stacked = np.array([e.modules[name] for e in group])
+        if stacked.ndim != 2:
+            raise ValueError("ragged module vectors")
+    except ValueError:
+        dims = {e.modules[name].shape[0] for e in group}
+        raise DimensionMismatch(
+            f"module {name!r} of category {category!r} mixes dimensions {sorted(dims)}"
+        ) from None
+    if not np.isfinite(stacked).all():
+        bad = int(np.flatnonzero(~np.isfinite(stacked).all(axis=1))[0])
+        raise DataError(f"module {name!r} of region {group[bad].region_id} has a non-finite value")
+    return stacked
 
 
 def build_sampling_table(
@@ -167,8 +200,10 @@ def build_sampling_table(
     Within a category, module vectors are stacked and length-normalized;
     regions whose module vector has zero norm contribute zero similarity
     instead of blowing up, so one degenerate embedding cannot poison its
-    whole category.  Each row is the softmax of the similarities to all
-    peers, with the self entry forced to zero and the rest renormalized.
+    whole category.  A non-finite module value would, so it is rejected.
+    Each row is the softmax of the similarities to all peers, with the self
+    entry forced to zero and the rest renormalized; the block stores the
+    row's running totals, computed in place in the similarity array.
     """
     if not embeddings:
         raise EmptyInput("no embeddings to build a sampling table from")
@@ -191,23 +226,22 @@ def build_sampling_table(
             index[emb.region_id] = (category, position)
         n = len(group)
         for name in module_names:
-            dims = {e.modules[name].shape[0] for e in group}
-            if len(dims) > 1:
-                raise DimensionMismatch(
-                    f"module {name!r} of category {category!r} mixes dimensions {sorted(dims)}"
-                )
-            stacked = np.stack([e.modules[name] for e in group])
+            stacked = _stack_module(group, category, name)
             norms = np.linalg.norm(stacked, axis=1, keepdims=True)
             safe = np.where(norms == 0.0, 1.0, norms)
-            unit = stacked / safe
-            sims = unit @ unit.T
+            stacked /= safe
+            # The similarities become the rows' running totals in place, so
+            # the block's one n-by-n array is the only one ever allocated.
+            sums = stacked @ stacked.T
             if n == 1:
-                rows = np.zeros((1, 1))
+                sums[:] = 0.0
             else:
-                exp = np.exp(sims - sims.max(axis=1, keepdims=True))
-                np.fill_diagonal(exp, 0.0)
-                rows = exp / exp.sum(axis=1, keepdims=True)
-            blocks[(category, name)] = ProbabilityBlock(region_ids=ids, rows=rows)
+                sums -= sums.max(axis=1, keepdims=True)
+                np.exp(sums, out=sums)
+                np.fill_diagonal(sums, 0.0)
+                sums /= sums.sum(axis=1, keepdims=True)
+                np.cumsum(sums, axis=1, out=sums)
+            blocks[(category, name)] = ProbabilityBlock(region_ids=ids, cumulative=sums)
     return SamplingTable(blocks=blocks, index=index, module_names=module_names, epoch=epoch)
 
 
@@ -217,7 +251,7 @@ def sample_negatives(
     region_id: str,
 ) -> dict[str, str]:
     """One hard-negative region per module for the given target region."""
-    return {name: table.sample(rng, region_id, name) for name in table.module_names}
+    return dict(zip(table.module_names, table._draw(rng, region_id, table.module_names)))
 
 
 def should_refresh(iteration: int, interval: int = DEFAULT_REFRESH_INTERVAL) -> bool:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,95 @@ class TestSamplingTable:
         ]
         with pytest.raises(DimensionMismatch):
             build_sampling_table(data)
+
+
+def mixed_table():
+    """Five synthetic categories, the trio, and one region alone in its category."""
+    alone = embedding("s0", "plate", [[1.0, 2.0]] * 3)
+    return build_sampling_table(make_embeddings(3, 60, dim=8, category_count=5) + trio() + [alone])
+
+
+class TestSharedDrawPath:
+    def test_sample_negatives_equals_one_sample_per_module_in_order(self):
+        table = mixed_table()
+        for seed in (0, 1):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for region_id in sorted(table.index):
+                if region_id == "s0":
+                    continue
+                expected = {m: table.sample(reference, region_id, m) for m in table.module_names}
+                negatives = sample_negatives(table, rng, region_id)
+                assert list(negatives) == list(table.module_names)
+                assert negatives == expected
+            assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize(
+        "region_id, error", [("ghost", KeyMismatch), ("s0", NoPeers)], ids=["unknown", "alone"]
+    )
+    def test_a_refused_draw_leaves_the_rng_untouched(self, region_id, error):
+        table = mixed_table()
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(error):
+            sample_negatives(table, rng, region_id)
+        with pytest.raises(error):
+            table.sample(rng, region_id, MODULE_NAMES[1])
+        assert rng.getstate() == state
+
+    def test_rows_view_is_the_softmax_over_peers(self):
+        embeddings = make_embeddings(3, 60, dim=8, category_count=5) + trio()
+        table = build_sampling_table(embeddings)
+        by_id = {e.region_id: e for e in embeddings}
+        for (category, module), block in table.blocks.items():
+            rows = block.rows
+            assert rows.shape == block.cumulative.shape
+            if len(block.region_ids) < 2:
+                continue
+            assert np.all(np.diag(rows) == 0.0)
+            vectors = [by_id[r].modules[module] for r in block.region_ids]
+            for i, row in enumerate(rows):
+                sims = [cosine_similarity(vectors[i], v) for j, v in enumerate(vectors) if j != i]
+                peers = [p for j, p in enumerate(row) if j != i]
+                assert np.allclose(peers, hand_softmax(sims), rtol=0.0, atol=1e-12)
+
+
+class TestNonFiniteEmbedding:
+    """One non-finite module value would turn its whole category's rows into NaN."""
+
+    def test_a_1e999_line_is_refused_naming_region_and_module(self):
+        sink = io.StringIO()
+        write_embeddings(trio(), sink)
+        lines = sink.getvalue().splitlines()
+        lines[1] = lines[1].replace('"location": [0.6,', '"location": [1e999,')
+        assert "1e999" in lines[1]
+        loaded = read_embeddings(io.StringIO("\n".join(lines) + "\n"))
+        with pytest.raises(DataError, match=r"'location' of region r1 "):
+            build_sampling_table(loaded)
+
+    def test_an_in_process_nan_is_refused_naming_the_first_bad_region(self):
+        data = trio()
+        data[2].modules["subject"][1] = np.nan
+        data[1].modules["subject"][0] = np.nan
+        with pytest.raises(DataError, match=r"'subject' of region r1 "):
+            build_sampling_table(data)
+
+
+class TestDrawMemory:
+    def test_a_draw_allocates_less_than_one_row(self):
+        size = 3000
+        embeddings = make_embeddings(11, size, dim=8, category_count=1)
+        table = build_sampling_table(embeddings, module_names=MODULE_NAMES[:1])
+        ids = sorted(table.index)
+        rng = random.Random(0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for i in range(1000):
+                sample_negatives(table, rng, ids[(i * 7) % size])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < size * 8, peak
 
 
 class TestLosses:
