@@ -31,7 +31,7 @@ from typing import IO, Callable, Iterator, Sequence, TypeVar
 
 from .balance import compute_stats, format_stats_table, is_spatial_only, relation_weights, split
 from .config import load_config
-from .distractor import TaskInstance, find_distractors, instance_line, missing_counts
+from .distractor import InstanceReader, TaskInstance, find_distractors, instance_line, missing_counts
 from .errors import ConfigError, DataError, EmptyCorpus, EmptyInput, EmptyResult
 from .evaluation import (
     ConstantScorer,
@@ -237,12 +237,16 @@ def _checked_expression(corpus: Corpus, lexicon: dict[str, str], payload: object
     return record
 
 
-def _checked_instance(corpus: Corpus | None, payload: object) -> TaskInstance:
-    """Parse one instance line; with a corpus, also check every image it names."""
-    instance = TaskInstance.from_jsonable(payload)
+def _checked_instance(corpus: Corpus | None, instance: TaskInstance) -> TaskInstance:
+    """The instance; with a corpus, after checking every image it names."""
     if corpus is not None:
         _target_graph(corpus, instance.expression, (instance.target_image, *instance.candidate_regions))
     return instance
+
+
+def _read_instances(path: str, corpus: Corpus | None = None) -> Iterator[TaskInstance]:
+    """The instances of a file, through one :class:`InstanceReader`, checked against ``corpus``."""
+    return read_jsonl(path, functools.partial(_checked_instance, corpus), decode=InstanceReader())
 
 
 def _same_file(path: str, other: str) -> bool:
@@ -264,7 +268,7 @@ def cmd_distract(args: argparse.Namespace) -> int:
 
     written = discarded = 0
     scans: dict = {}  # tree -> slots; sound because every record matches exactly its target
-    region_json: dict[str, str] = {}
+    region_json: dict = {}
     with _outputs(args.out, args.log) as (out, log_file):
         # The log is json.dump(..., indent=2, sort_keys=True) of the report
         # plus "discard_details", which sorts first, so the details are
@@ -315,12 +319,13 @@ def cmd_split(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     # Each line is parsed and its normalized form spooled, keyed by its
     # target image, before any part is opened, so a bad line leaves no part
-    # behind; only the image ids stay in memory.
+    # behind; only the image ids and one region list per image stay in memory.
+    region_json: dict = {}
     with tempfile.TemporaryFile("w+", encoding="utf-8", dir=args.out_dir) as spool:
         images: set[str] = set()
-        for instance in read_jsonl(args.instances, TaskInstance.from_jsonable):
+        for instance in _read_instances(args.instances):
             images.add(instance.target_image)
-            line = json.dumps(instance.to_jsonable(), sort_keys=True)
+            line = instance_line(instance, region_json)
             spool.write(f"{json.dumps(instance.target_image)}\t{line}\n")
         if not images:
             raise EmptyInput(f"no instances in {args.instances}")
@@ -348,7 +353,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         raise ConfigError(f"--top-k must be at least 0, got {args.top_k}")
     corpus = _load_corpus(args) if args.corpus else None
     expressions = read_jsonl(args.expressions, ExpressionRecord.from_jsonable) if args.expressions else ()
-    instances = read_jsonl(args.instances, functools.partial(_checked_instance, corpus)) if args.instances else ()
+    instances = _read_instances(args.instances, corpus) if args.instances else ()
     stats = compute_stats(corpus, expressions, instances, top_k=args.top_k)
     if args.json:
         _print_summary(stats.to_jsonable())
@@ -382,7 +387,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args) if args.corpus else None
     lexicon = _load(args.lexicon, load_attribute_lexicon, default_attribute_lexicon)
     settings = tuple(Setting(s) for s in args.settings) if args.settings else tuple(Setting)
-    instances = read_jsonl(args.instances, functools.partial(_checked_instance, corpus))
+    instances = _read_instances(args.instances, corpus)
     with _build_scorer(args, corpus, lexicon) as scorer:
         report = evaluate(instances, scorer, settings)
 

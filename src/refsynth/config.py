@@ -8,6 +8,7 @@ rejected so typos fail loudly instead of silently running with defaults.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -15,6 +16,15 @@ from .util import load_json
 
 _RATIO_FIELDS = ("min_area_ratio", "synonym_probability", "compose_probability")
 _POSITIVE_INT_FIELDS = ("max_per_region", "parse_budget", "per_type", "refresh_interval", "workers")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    """An int or a finite float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -62,20 +72,26 @@ class PipelineConfig:
         return dataclasses.replace(self, **changes).validated() if changes else self
 
     def validated(self) -> "PipelineConfig":
+        """``self``, once every field has its exact type and range; else :class:`ConfigError` naming the field."""
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         for name in _RATIO_FIELDS:
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
+            if not (_is_number(value) and 0.0 <= value <= 1.0):
+                raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
         for name in _POSITIVE_INT_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not (_is_int(value) and value >= 1):
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if self.margin <= 0:
-            raise ConfigError(f"margin must be positive, got {self.margin}")
-        if self.mine_weight < 0:
-            raise ConfigError(f"mine_weight must be non-negative, got {self.mine_weight}")
+        if type(self.drop_spatial_only) is not bool:
+            raise ConfigError(f"drop_spatial_only must be true or false, got {self.drop_spatial_only!r}")
+        if not (_is_number(self.margin) and self.margin > 0):
+            raise ConfigError(f"margin must be a positive finite number, got {self.margin!r}")
+        if not (_is_number(self.mine_weight) and self.mine_weight >= 0):
+            raise ConfigError(f"mine_weight must be a non-negative finite number, got {self.mine_weight!r}")
         ratios = self.split_ratios
-        if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        if (len(ratios) != 3 or not all(_is_number(r) and r > 0 for r in ratios)
+                or abs(sum(ratios) - 1.0) > 1e-9):
             raise ConfigError(
                 f"split_ratios must be three positive numbers summing to 1, got {ratios}"
             )

@@ -11,13 +11,15 @@ across the whole task instance.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import islice
-from typing import Mapping
+from json.decoder import WHITESPACE, scanstring
+from typing import Callable, Mapping
 
-from .errors import SchemaViolation
+from .errors import DataError, SchemaViolation
 from .expression import ExpressionRecord
 from .reasoning import (
     LogicForm,
@@ -28,6 +30,7 @@ from .reasoning import (
     tree_categories,
 )
 from .scene_graph import Corpus, SceneGraph, box_record
+from .util import _DECODER, decode_json
 
 DEFAULT_PER_TYPE = 3
 
@@ -51,6 +54,8 @@ _ASSIGNMENT_PRIORITY = (
 
 # The images a scan assigns to each type, in scan order.
 Slots = Mapping[DistractorType, tuple[str, ...]]
+# One image's candidate regions: (object id, box record) pairs.
+Regions = tuple[tuple[str, dict], ...]
 
 
 def _bare_edge(edge: TreeEdge) -> TreeEdge:
@@ -146,7 +151,7 @@ class TaskInstance:
     expression: ExpressionRecord
     target_image: str
     distractors: dict[DistractorType, tuple[str, ...]]
-    candidate_regions: dict[str, tuple[tuple[str, dict], ...]]
+    candidate_regions: dict[str, Regions]
 
     @property
     def images(self) -> tuple[str, ...]:
@@ -167,6 +172,12 @@ class TaskInstance:
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "TaskInstance":
+        return cls._from_jsonable(data, checked_regions=False)
+
+    @classmethod
+    def _from_jsonable(cls, data: Mapping, checked_regions: bool) -> "TaskInstance":
+        """:meth:`from_jsonable`; with ``checked_regions``, ``data["candidate_regions"]``
+        is a dict whose lists :func:`region_list` has already checked."""
         if not isinstance(data, Mapping):
             raise SchemaViolation(f"task instance must be an object, got {type(data).__name__}")
         for key in ("expression", "target_image", "distractors", "candidate_regions"):
@@ -185,21 +196,11 @@ class TaskInstance:
         missing = set(DistractorType) - set(distractors)
         if missing:
             raise SchemaViolation(f"distractor map missing types {sorted(t.value for t in missing)}")
-        raw_regions = data["candidate_regions"]
-        if not isinstance(raw_regions, Mapping):
-            raise SchemaViolation(f"candidate_regions must be an object, got {type(raw_regions).__name__}")
-        regions = {}
-        for image_id, raw in raw_regions.items():
-            if not isinstance(raw, list):
-                raise SchemaViolation(f"candidate regions of {image_id!r} must be a list, got {type(raw).__name__}")
-            parsed = []
-            for region in raw:
-                if type(region) is not list or len(region) != 2 or type(region[0]) is not str:
-                    raise SchemaViolation(
-                        f"candidate region of {image_id!r} must be an [object id, box] pair, got {region!r}"
-                    )
-                parsed.append((region[0], box_record(region[1])))
-            regions[image_id] = tuple(parsed)
+        regions = data["candidate_regions"]
+        if not checked_regions:
+            if not isinstance(regions, Mapping):
+                raise SchemaViolation(f"candidate_regions must be an object, got {type(regions).__name__}")
+            regions = {image_id: region_list(image_id, raw) for image_id, raw in regions.items()}
         instance = cls(
             expression=ExpressionRecord.from_jsonable(data["expression"]),
             target_image=target_image,
@@ -212,21 +213,122 @@ class TaskInstance:
         return instance
 
 
-def instance_line(instance: TaskInstance, region_json: dict[str, str]) -> str:
+def region_list(image_id: str, raw: object) -> Regions:
+    """The checked ``(object id, box record)`` pairs of one image's decoded region list."""
+    if not isinstance(raw, list):
+        raise SchemaViolation(f"candidate regions of {image_id!r} must be a list, got {type(raw).__name__}")
+    parsed = []
+    for region in raw:
+        if type(region) is not list or len(region) != 2 or type(region[0]) is not str:
+            raise SchemaViolation(
+                f"candidate region of {image_id!r} must be an [object id, box] pair, got {region!r}"
+            )
+        parsed.append((region[0], box_record(region[1])))
+    return tuple(parsed)
+
+
+class InstanceReader:
+    """Parses instance lines, decoding and checking each image's region list once per run.
+
+    Instances repeat the same images' region lists many times.  For each
+    image id the reader keeps the JSON text of the last region list it read
+    and the checked tuple parsed from it; a later line that holds that text
+    at that place reuses the tuple, which is exact because a JSON array ends
+    at its matching ``]``.  Only the top-level object and its
+    ``candidate_regions`` object are walked here; every other value goes
+    through the strict scanner of :func:`decode_json`.  A line that does not
+    walk cleanly, for whatever reason, is parsed again as
+    ``TaskInstance.from_jsonable(decode_json(line))``, so every error and
+    every result equals that one rule's.  Memory is one entry per distinct
+    image id.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict[str, tuple[str, Regions]] = {}
+
+    def __call__(self, line: str | bytes) -> TaskInstance:
+        if isinstance(line, bytes):
+            line = line.decode(json.detect_encoding(line), "surrogatepass")
+        try:
+            return TaskInstance._from_jsonable(self._walk(line), checked_regions=True)
+        except (StopIteration, ValueError, DataError):
+            return TaskInstance.from_jsonable(decode_json(line))
+
+    def _walk(self, s: str) -> dict:
+        """The line's top-level object, with its region lists checked."""
+        region_list_at = functools.partial(self._region_list, s)
+
+        def member(key: str, i: int) -> tuple[object, int]:
+            if key == "candidate_regions":
+                return _json_object(s, i, region_list_at)
+            return _scan_once(s, i)
+
+        data, end = _json_object(s, _ws(s, 0).end(), member)
+        if _ws(s, end).end() != len(s):
+            raise ValueError("extra data")
+        return data
+
+    def _region_list(self, s: str, image_id: str, i: int) -> tuple[Regions, int]:
+        entry = self._memo.get(image_id)
+        if entry is not None and s.startswith(entry[0], i):
+            return entry[1], i + len(entry[0])
+        raw, end = _scan_once(s, i)
+        parsed = region_list(image_id, raw)
+        self._memo[image_id] = (s[i:end], parsed)
+        return parsed, end
+
+
+_ws = WHITESPACE.match
+_scan_once = _DECODER.scan_once
+
+
+def _json_object(s: str, i: int, value: Callable[[str, int], tuple[object, int]]) -> tuple[dict, int]:
+    """The JSON object at ``s[i]`` and the index after it; ``value(key, j)`` reads the member value at ``s[j]``.
+
+    Anything irregular raises ``ValueError``.  A repeated key keeps its
+    first place and takes its last value, as with :func:`json.loads`.
+    """
+    if s[i:i + 1] != "{":
+        raise ValueError("expected an object")
+    members: dict = {}
+    i = _ws(s, i + 1).end()
+    if s[i:i + 1] != "}":
+        while True:
+            if s[i:i + 1] != '"':
+                raise ValueError("expected a key")
+            key, i = scanstring(s, i + 1)
+            i = _ws(s, i).end()
+            if s[i:i + 1] != ":":
+                raise ValueError("expected ':'")
+            members[key], i = value(key, _ws(s, i + 1).end())
+            i = _ws(s, i).end()
+            if s[i:i + 1] != ",":
+                break
+            i = _ws(s, i + 1).end()
+        if s[i:i + 1] != "}":
+            raise ValueError("expected '}'")
+    return members, i + 1
+
+
+def instance_line(instance: TaskInstance, region_json: dict[str, tuple[Regions, str]]) -> str:
     """``json.dumps(instance.to_jsonable(), sort_keys=True)``, encoding each image's regions once.
 
-    ``region_json`` maps an image id to its encoded ``"image id": [regions]``
-    member and is filled on first sight, so every instance written through
-    one map must take an image's regions from the same corpus.
-    ``candidate_regions`` sorts before every other key, so the line is that
-    object followed by the rest of the instance.
+    ``region_json`` maps an image id to the regions last encoded for it and
+    their ``"image id": [regions]`` member.  The member is reused only for
+    the very same regions object, never for an equal one: ``1`` and ``1.0``
+    compare equal but encode differently.  ``candidate_regions`` sorts
+    before every other key, so the line is that object followed by the
+    rest of the instance.
     """
     members = []
     for image_id in sorted(instance.candidate_regions):
-        member = region_json.get(image_id)
-        if member is None:
-            encoded = json.dumps(instance.candidate_regions[image_id], sort_keys=True)
-            member = region_json[image_id] = f"{json.dumps(image_id)}: {encoded}"
+        regions = instance.candidate_regions[image_id]
+        cached = region_json.get(image_id)
+        if cached is not None and cached[0] is regions:
+            member = cached[1]
+        else:
+            member = f"{json.dumps(image_id)}: {json.dumps(regions, sort_keys=True)}"
+            region_json[image_id] = (regions, member)
         members.append(member)
     rest = replace(instance, candidate_regions={}).to_jsonable()
     del rest["candidate_regions"]

@@ -11,6 +11,7 @@ classic single-image task with no distractors at all.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import threading
@@ -120,6 +121,16 @@ class HashRandomScorer:
 
     def score(self, expression, image_id, object_id, box):
         return hash_uniform(self.seed, expression.expr_id, image_id, object_id)
+
+    def score_batch(self, expression: ExpressionRecord, regions: Sequence[Region]) -> list[float]:
+        """One :meth:`score` per region, hashing the shared seed and expression prefix once."""
+        prefix = hashlib.sha256(f"{self.seed}|{expression.expr_id}|".encode("utf-8"))
+        scores = []
+        for image_id, object_id, _ in regions:
+            digest = prefix.copy()
+            digest.update(f"{image_id}|{object_id}".encode("utf-8"))
+            scores.append(int.from_bytes(digest.digest()[:7], "big") / float(1 << 56))
+        return scores
 
 
 def score_key(expr_id: str, image_id: str, object_id: str) -> str:

@@ -53,20 +53,25 @@ def load_json(source: IO, label: str, *, schema_checks_numbers: bool = False) ->
         raise MalformedDocument(f"{getattr(source, 'name', label)} is not valid JSON: {exc}") from exc
 
 
-def parse_jsonl(lines: Iterable[str | bytes], name: str, parse: Callable[[object], T]) -> Iterator[T]:
-    """Decode and parse each non-blank line as it is read.
+def parse_jsonl(
+    lines: Iterable[str | bytes],
+    name: str,
+    parse: Callable[[object], T],
+    decode: Callable[[str | bytes], object] = decode_json,
+) -> Iterator[T]:
+    """``parse(decode(line))`` for each non-blank line, as it is read.
 
-    A line that is not UTF-8 JSON (see :func:`decode_json`), or whose object
-    ``parse`` rejects with a :class:`DataError`, stops the read with a
-    ``DataError`` naming ``name:line``; the records before it have already
-    been yielded.
+    A line that is not UTF-8 JSON (see :func:`decode_json`, whose errors any
+    other ``decode`` raises too), or that ``decode`` or ``parse`` rejects
+    with a :class:`DataError`, stops the read with a ``DataError`` naming
+    ``name:line``; the records before it have already been yielded.
     """
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            record = parse(decode_json(line))
+            record = parse(decode(line))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"{name}:{lineno} is not valid JSON") from exc
         except DataError as exc:
@@ -74,13 +79,15 @@ def parse_jsonl(lines: Iterable[str | bytes], name: str, parse: Callable[[object
         yield record
 
 
-def read_jsonl(path: str, parse: Callable[[object], T]) -> Iterator[T]:
+def read_jsonl(
+    path: str, parse: Callable[[object], T], decode: Callable[[str | bytes], object] = decode_json
+) -> Iterator[T]:
     """:func:`parse_jsonl` over a file, held open while the generator runs.
 
     Lines are read as bytes, so a line that is not UTF-8 is named like any
     other bad line."""
     with open(path, "rb") as handle:
-        yield from parse_jsonl(handle, path, parse)
+        yield from parse_jsonl(handle, path, parse, decode)
 
 
 def write_jsonl(payloads: Iterable[object], sink: IO) -> int:

@@ -16,6 +16,7 @@ import pytest
 
 import refsynth
 from refsynth.cli import main
+from refsynth.config import PipelineConfig
 from refsynth.distractor import TaskInstance
 from refsynth.scene_graph import load_corpus_path
 
@@ -28,6 +29,18 @@ INSTANCES_SHA256 = "b3c941f1556d5fc3bc9ed8773cb1a259217e8c250e76ca54465f358ef578
 # sha256 of json.dumps(discard_details, sort_keys=True) from distract's --log:
 # the shortage counts of the 199 of 242 expressions that find no full set.
 DISCARDS_SHA256 = "bfddbaceb076978f040ac3c5bd5a516deb666bdb9398a27bd842167b2d51881c"
+# sha256 of the stages that read those instances, on the same pipeline: the
+# split parts at PIPELINE_SEED, stats --json over the corpus, expressions and
+# instances, and eval --json with the hash-random scorer at PIPELINE_SEED and
+# with the oracle.
+SPLIT_SHA256 = {
+    "train": "653c52150e619f97d044eafea32d977d8f37640975b7f3187bd71cf5cd75f826",
+    "val": "bd23f054b36851c3420aaf1b1c2f19b065a669fe6cad2d501ec5510db8884987",
+    "test": "57329ca985b98068deb6e4821233fa6c591bf7eb99394f3f78f45be0800c612b",
+}
+STATS_SHA256 = "b6e1128b954c5d5281f1242b3423760094ba8e134dccd4f01a61a13be6c8609b"
+EVAL_HASH_RANDOM_SHA256 = "872d5c1a2da9adf31f23817c2604552e2a63c8518141f0fb1cf351a99cb4856d"
+EVAL_ORACLE_SHA256 = "a82c1456f578b665b83a50b4ab4ee4ad682ccdfda077ecb9cf604f86cc4ae948"
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +67,13 @@ def read_lines(path):
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def stdout_sha256(capsys, argv):
+    """sha256 of what a successful run of ``argv`` prints."""
+    capsys.readouterr()
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
 class TestGenerate:
@@ -369,6 +389,31 @@ class TestSplit:
         ])
         assert code == 2
 
+    def test_output_bytes_are_pinned(self, pipeline_dir, tmp_path):
+        assert main([
+            "split", "--instances", str(pipeline_dir / "instances.jsonl"),
+            "--out-dir", str(tmp_path), "--seed", str(PIPELINE_SEED),
+        ]) == 0
+        assert {name: sha256(tmp_path / f"{name}.jsonl") for name in SPLIT_SHA256} == SPLIT_SHA256
+
+    @pytest.mark.parametrize("first, second", [(1, 1.0), (1.0, 1)], ids=["int-first", "float-first"])
+    def test_equal_numbers_keep_their_own_spelling(self, pipeline_dir, tmp_path, first, second):
+        # 1 == 1.0, but the lines give one image different region lists, and
+        # each is written back as it was read.
+        payload = read_lines(pipeline_dir / "instances.jsonl")[0]
+        lines = []
+        for number in (first, second, first):
+            payload["candidate_regions"][payload["target_image"]][0][1]["x"] = number
+            lines.append(json.dumps(payload, sort_keys=True))
+        path = tmp_path / "instances.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        assert main(["split", "--instances", str(path), "--out-dir", str(tmp_path / "split")]) == 0
+        written = [
+            line for name in ("train", "val", "test")
+            for line in (tmp_path / "split" / f"{name}.jsonl").read_text().splitlines()
+        ]
+        assert written == lines
+
 
 def _nothing_in(directory):
     return not directory.exists() or not any(directory.iterdir())
@@ -522,6 +567,14 @@ class TestStats:
         assert main(["stats", "--corpus", CORPUS_PATH]) == 0
         assert "images" in capsys.readouterr().out
 
+    def test_json_report_is_pinned(self, pipeline_dir, capsys):
+        assert stdout_sha256(capsys, [
+            "stats", "--corpus", CORPUS_PATH,
+            "--expressions", str(pipeline_dir / "expressions.jsonl"),
+            "--instances", str(pipeline_dir / "instances.jsonl"),
+            "--json",
+        ]) == STATS_SHA256
+
 
 class TestEval:
     def test_oracle_is_perfect(self, pipeline_dir, capsys):
@@ -562,6 +615,14 @@ class TestEval:
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["settings"]) == {"Full", "WithoutDist"}
+
+    @pytest.mark.parametrize("scorer, pinned", [
+        (["--scorer", "hash-random", "--seed", str(PIPELINE_SEED)], EVAL_HASH_RANDOM_SHA256),
+        (["--scorer", "oracle", "--corpus", CORPUS_PATH], EVAL_ORACLE_SHA256),
+    ], ids=["hash-random", "oracle"])
+    def test_json_report_is_pinned(self, pipeline_dir, capsys, scorer, pinned):
+        argv = ["eval", "--instances", str(pipeline_dir / "instances.jsonl"), *scorer, "--json"]
+        assert stdout_sha256(capsys, argv) == pinned
 
 
     @pytest.mark.parametrize("child", [
@@ -673,6 +734,55 @@ class TestConfigHandling:
             "--config", str(config),
         ]) == 0
         assert out.read_bytes() == (pipeline_dir / "expressions.jsonl").read_bytes()
+
+
+class TestConfigValidation:
+    """A config value of the wrong type or out of range exits 2 naming its field, before any input is read."""
+
+    @pytest.mark.parametrize("config, field", [
+        ('{"split_ratios": ["a", 0.5, 0.5]}', "split_ratios"),
+        ('{"split_ratios": [true, 0.5, 0.5]}', "split_ratios"),
+        ('{"margin": "x"}', "margin"),
+        ('{"margin": true}', "margin"),
+        ('{"mine_weight": 1e999}', "mine_weight"),
+        ('{"min_area_ratio": "0.1"}', "min_area_ratio"),
+        ('{"seed": "abc"}', "seed"),
+        ('{"seed": 1.0}', "seed"),
+        ('{"seed": true}', "seed"),
+        ('{"per_type": true}', "per_type"),
+        ('{"drop_spatial_only": "no"}', "drop_spatial_only"),
+        ('{"drop_spatial_only": 0}', "drop_spatial_only"),
+    ])
+    def test_config_file(self, tmp_path, caplog, config, field):
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        self._exits_2_naming(caplog, field, [
+            "split", "--instances", str(tmp_path / "missing.jsonl"),
+            "--out-dir", str(tmp_path / "split"), "--config", str(path),
+        ])
+
+    @pytest.mark.parametrize("ratios", ["nan,0.5,0.5", "inf,-inf,1", "0.5,nan,0.5"])
+    def test_non_finite_split_ratios(self, tmp_path, caplog, ratios):
+        self._exits_2_naming(caplog, "split_ratios", [
+            "split", "--instances", str(tmp_path / "missing.jsonl"),
+            "--out-dir", str(tmp_path / "split"), "--ratios", ratios,
+        ])
+        assert not (tmp_path / "split").exists()
+
+    @pytest.mark.parametrize("margin", ["nan", "inf"])
+    def test_non_finite_margin(self, caplog, margin):
+        self._exits_2_naming(caplog, "margin", ["mine-demo", "--iterations", "1", "--margin", margin])
+
+    def _exits_2_naming(self, caplog, field, argv):
+        with caplog.at_level(logging.ERROR, logger="refsynth"):
+            assert main(argv) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and errors[0].startswith(f"{field} ")
+
+    def test_valid_values_of_every_type_are_kept(self):
+        config = PipelineConfig(seed=-3, margin=1, mine_weight=0, split_ratios=(0.5, 0.25, 0.25),
+                                drop_spatial_only=False, min_area_ratio=0)
+        assert config.validated() is config
 
 
 class TestStartUp:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import random
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import refsynth.distractor as distractor
 from refsynth.distractor import (
     DistractorType,
+    InstanceReader,
     TaskInstance,
     find_distractors,
     instance_line,
@@ -30,7 +32,9 @@ from refsynth.reasoning import (
     match,
     tree_categories,
 )
+from refsynth.errors import DataError
 from refsynth.scene_graph import Corpus, SynonymTable
+from refsynth.util import decode_json, parse_jsonl
 
 from .conftest import box, build_graph
 from .oracles import brute_force_match, brute_force_skeleton
@@ -412,3 +416,105 @@ class TestSerialization:
         again = TaskInstance.from_jsonable(payload)
         assert again == instance
         assert again.to_jsonable() == payload
+
+
+def _shuffled(value, rng):
+    """``value`` with the keys of every object in a random order."""
+    if isinstance(value, dict):
+        items = list(value.items())
+        rng.shuffle(items)
+        return {key: _shuffled(item, rng) for key, item in items}
+    if isinstance(value, list):
+        return [_shuffled(item, rng) for item in value]
+    return value
+
+
+def _with_box_value(payload, rng, value):
+    """``payload`` with one region box value set to ``value``; unchanged if it has no region."""
+    regions = [region for regions in payload["candidate_regions"].values() for region in regions]
+    if regions:
+        box = rng.choice(regions)[1]
+        box[rng.choice("xywh")] = value
+    return payload
+
+
+# A line fault edits the payload before it is dumped, a text fault the dumped line.
+_NUMBER = "__number__"  # a string marking a number token to splice into the dumped line
+LINE_FAULTS = {
+    "bool-box-value": lambda payload, rng: _with_box_value(payload, rng, True),
+    "float-for-int": lambda payload, rng: _with_box_value(payload, rng, 7.0),
+    "nan": lambda payload, rng: _with_box_value(payload, rng, _NUMBER + "NaN"),
+    "too-large": lambda payload, rng: _with_box_value(payload, rng, _NUMBER + "1e999"),
+    "regions-not-an-object": lambda payload, rng: {**payload, "candidate_regions": []},
+    "non-object": lambda payload, rng: rng.choice([5, [payload], "line", None]),
+}
+TEXT_FAULTS = {
+    "truncated": lambda text, rng: text[:rng.randrange(len(text))],
+    "trailing-data": lambda text, rng: text + rng.choice([" 1", "}", ",", " {}"]),
+    "duplicate-regions-first": lambda text, rng: '{"candidate_regions": {"x": [["o", {"x": true}]]}, ' + text[1:],
+    "duplicate-regions-last": lambda text, rng: text[:-1] + ', "candidate_regions": {}}',
+}
+
+
+@st.composite
+def instance_files(draw):
+    """Lines of drawn instances sharing images, each in its own JSON formatting, some faulty."""
+    lines = []
+    for instance in draw(instances_sharing_images()) * draw(st.integers(1, 3)):
+        rng = draw(st.randoms(use_true_random=False))
+        payload = _shuffled(json.loads(json.dumps(instance.to_jsonable())), rng)
+        fault = draw(st.sampled_from([None, None, None, *LINE_FAULTS, *TEXT_FAULTS]))
+        if fault in LINE_FAULTS:
+            payload = LINE_FAULTS[fault](payload, rng)
+        text = json.dumps(
+            payload,
+            indent=draw(st.sampled_from([None, 0, 1, "\t"])),
+            separators=draw(st.sampled_from([None, (",", ":"), (" , ", " : ")])),
+            ensure_ascii=draw(st.booleans()),
+        )
+        text = text.replace("\n", draw(st.sampled_from([" ", "\t", ""])))
+        for token in ("NaN", "1e999"):
+            text = text.replace(f'"{_NUMBER}{token}"', token)
+        if fault in TEXT_FAULTS:
+            text = TEXT_FAULTS[fault](text, rng)
+        lines.append(text)
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def _read(data: bytes, decode) -> tuple[list[str], str | None]:
+    """Each instance read from ``data`` as sorted JSON, and the error that stopped the read."""
+    read = []
+    try:
+        for instance in parse_jsonl(io.BytesIO(data), "f.jsonl", lambda instance: instance, decode):
+            read.append(json.dumps(instance.to_jsonable(), sort_keys=True))
+    except DataError as exc:
+        return read, str(exc)
+    return read, None
+
+
+class TestInstanceReader:
+    @settings(max_examples=300, deadline=None)
+    @given(data=instance_files())
+    def test_reads_what_the_one_rule_reads(self, data):
+        reference = _read(data, lambda line: TaskInstance.from_jsonable(decode_json(line)))
+        assert _read(data, InstanceReader()) == reference
+
+    def test_decodes_and_checks_each_distinct_region_list_once(self, monkeypatch, instances):
+        calls = []
+        box_record = distractor.box_record
+
+        def counting_box_record(box):
+            calls.append(box)
+            return box_record(box)
+
+        monkeypatch.setattr(distractor, "box_record", counting_box_record)
+        lines = [json.dumps(instance.to_jsonable(), sort_keys=True) for instance in instances] * 2
+        reader = InstanceReader()
+        read = [reader(line) for line in lines]
+        assert [json.dumps(i.to_jsonable(), sort_keys=True) for i in read] == lines
+        # The fixture's instances come from one corpus: one region list text per image.
+        distinct = {
+            image_id: regions for instance in instances for image_id, regions in instance.candidate_regions.items()
+        }
+        boxes_read = 2 * sum(len(regions) for instance in instances for regions in instance.candidate_regions.values())
+        assert len(calls) == sum(len(regions) for regions in distinct.values()) < boxes_read

@@ -11,6 +11,7 @@ import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refsynth.distractor import DistractorType, TaskInstance
 from refsynth.errors import DataError, EmptyInput, KeyMismatch, NoCandidates
@@ -182,6 +183,19 @@ class TestHashRandomScorer:
         a = evaluate(instances, HashRandomScorer(seed=1)).to_jsonable()
         b = evaluate(instances, HashRandomScorer(seed=2)).to_jsonable()
         assert a != b
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(-5, 10**6),
+        expr_id=st.text(max_size=8),
+        regions=st.lists(st.tuples(st.text(max_size=6), st.text(max_size=6)), max_size=6),
+    )
+    def test_a_batch_equals_one_score_per_region(self, instances, seed, expr_id, regions):
+        # Ids may hold "|", the separator of the hashed key, and any character.
+        expression = dataclasses.replace(instances[0].expression, expr_id=expr_id)
+        scorer = HashRandomScorer(seed)
+        batch = [(image_id, object_id, {}) for image_id, object_id in regions + [("a|b", "c"), ("a", "b|c")]]
+        assert scorer.score_batch(expression, batch) == [scorer.score(expression, *region) for region in batch]
 
 
 class TestFileScorer:
