@@ -251,7 +251,7 @@ class InstanceReader:
             line = line.decode(json.detect_encoding(line), "surrogatepass")
         try:
             return TaskInstance._from_jsonable(self._walk(line), checked_regions=True)
-        except (StopIteration, ValueError, DataError):
+        except (StopIteration, ValueError, RecursionError, DataError):
             return TaskInstance.from_jsonable(decode_json(line))
 
     def _walk(self, s: str) -> dict:

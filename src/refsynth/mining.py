@@ -15,6 +15,7 @@ scores; no model or autograd framework is involved.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -132,6 +133,12 @@ class SamplingTable:
     Row i of a block holds, for region i, the probability of drawing each
     same-category peer as its hard negative for that module; the self entry
     is zero.  The epoch counter records which refresh produced the table.
+
+    Draws go through one entry per category: its region ids and, in
+    ``module_names`` order, a flat ``memoryview`` of each module block's
+    running totals.  The views share the blocks' memory, so they add no
+    array; they cannot be pickled, so a pickled or copied table leaves them
+    out and makes them anew.
     """
 
     blocks: dict[tuple[str, str], ProbabilityBlock]
@@ -139,37 +146,69 @@ class SamplingTable:
     module_names: tuple[str, ...]
     epoch: int = 0
 
+    def __post_init__(self) -> None:
+        self._draws = self._draw_entries()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_draws"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._draws = self._draw_entries()
+
+    def _draw_entries(self) -> dict[str, tuple[tuple[str, ...], tuple[tuple[str, memoryview], ...]]]:
+        """Category -> (region ids, (module, flat view of its running totals)
+        for each module in order)."""
+        entries = {}
+        for category, _ in self.blocks:
+            if category not in entries:
+                blocks = [self.blocks[(category, module)] for module in self.module_names]
+                entries[category] = (
+                    blocks[0].region_ids,
+                    tuple(
+                        (module, memoryview(block.cumulative).cast("B").cast("d"))
+                        for module, block in zip(self.module_names, blocks)
+                    ),
+                )
+        return entries
+
     def sample(self, rng: random.Random, region_id: str, module: str) -> str:
         """Draw one hard-negative peer for a region under one module."""
-        return self._draw(rng, region_id, (module,))[0]
+        return self._draw(rng, region_id, module)[module]
 
-    def _draw(self, rng: random.Random, region_id: str, modules: Sequence[str]) -> list[str]:
-        """One hard-negative peer per module, in the order of ``modules``.
+    def _draw(self, rng: random.Random, region_id: str, module: str | None = None) -> dict[str, str]:
+        """One hard-negative peer for ``module``, or for every module in order.
 
         Each draw takes one ``rng.random()`` value r and returns the first peer
-        whose running total exceeds r.  The zeroed self entry never raises the
-        total, so it is never that peer; r at or above the row's total draws
-        the last peer.  Errors are raised before the rng is consumed.
+        whose running total exceeds r: a row's totals never decrease, so that
+        is where ``bisect_right`` over the region's slice of the view lands.
+        The zeroed self entry never raises the total, so it is never that
+        peer; r at or above the row's total draws the last peer.  Errors are
+        raised before the rng is consumed.
         """
         try:
             category, position = self.index[region_id]
         except KeyError:
             raise KeyMismatch(f"region {region_id!r} is not in the sampling table") from None
-        try:
-            blocks = [self.blocks[(category, module)] for module in modules]
-        except KeyError:
-            unknown = next(m for m in modules if m not in self.module_names)
-            raise KeyMismatch(f"unknown module {unknown!r}") from None
-        region_ids = blocks[0].region_ids
-        last = len(region_ids) - 1
-        if last < 1:
+        region_ids, views = self._draws[category]
+        if module is not None:
+            try:
+                views = (views[self.module_names.index(module)],)
+            except ValueError:
+                raise KeyMismatch(f"unknown module {module!r}") from None
+        n = len(region_ids)
+        if n < 2:
             raise NoPeers(f"region {region_id!r} has no same-category peers")
-        peers = []
-        for block in blocks:
-            i = int(block.cumulative[position].searchsorted(rng.random(), side="right"))
-            if i > last:
-                i = last - 1 if position == last else last
-            peers.append(region_ids[i])
+        lo = position * n
+        hi = lo + n
+        peers = {}
+        for name, view in views:
+            i = bisect_right(view, rng.random(), lo, hi) - lo
+            if i == n:
+                i = n - 2 if position == n - 1 else n - 1
+            peers[name] = region_ids[i]
         return peers
 
 
@@ -208,6 +247,8 @@ def build_sampling_table(
     if not embeddings:
         raise EmptyInput("no embeddings to build a sampling table from")
     module_names = tuple(module_names)
+    if not module_names or len(set(module_names)) != len(module_names):
+        raise DataError(f"module names must be distinct and at least one, got {list(module_names)}")
     by_category: dict[str, list[ModularEmbedding]] = {}
     for emb in embeddings:
         for name in module_names:
@@ -251,7 +292,7 @@ def sample_negatives(
     region_id: str,
 ) -> dict[str, str]:
     """One hard-negative region per module for the given target region."""
-    return dict(zip(table.module_names, table._draw(rng, region_id, table.module_names)))
+    return table._draw(rng, region_id)
 
 
 def should_refresh(iteration: int, interval: int = DEFAULT_REFRESH_INTERVAL) -> bool:

@@ -22,33 +22,59 @@ def _reject_constant(name: str) -> object:
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
+def _raise_if_unreadable(exc: BaseException) -> None:
+    """Raise :class:`MalformedDocument` if a decoder's ``exc`` is one of the two
+    JSON inputs Python cannot hold: nesting deeper than the recursion limit,
+    or an integer longer than the int-string conversion limit."""
+    if isinstance(exc, RecursionError):
+        raise MalformedDocument("its nesting is too deep to read") from None
+    if type(exc) is ValueError:  # not JSONDecodeError or UnicodeDecodeError
+        raise MalformedDocument(f"it holds an integer too long to read ({str(exc).split(';')[0]})") from None
+
+
 def decode_json(text: str | bytes) -> object:
     """:func:`json.loads`, except that ``NaN``, ``Infinity`` and ``-Infinity`` are rejected.
 
     Text that is not JSON raises ``JSONDecodeError`` or ``UnicodeDecodeError``;
     those three tokens, which are not JSON either, raise
-    :class:`MalformedDocument` naming the token.
+    :class:`MalformedDocument` naming the token, as do nesting too deep and
+    an integer too long to read.
     """
     if isinstance(text, bytes):
         text = text.decode(json.detect_encoding(text), "surrogatepass")
-    return _DECODER.decode(text)
+    try:
+        return _DECODER.decode(text)
+    except (RecursionError, ValueError) as exc:
+        _raise_if_unreadable(exc)
+        raise
+
+
+def _lenient_json(text: str) -> object:
+    """:func:`json.loads`, with nesting too deep and an integer too long to
+    read raised as in :func:`decode_json`."""
+    try:
+        return json.loads(text)
+    except (RecursionError, ValueError) as exc:
+        _raise_if_unreadable(exc)
+        raise
 
 
 def load_json(source: IO, label: str, *, schema_checks_numbers: bool = False) -> object:
     """Parse the one JSON document in a text or byte stream.
 
-    Invalid JSON, bytes that are not UTF-8 and the tokens ``NaN``,
-    ``Infinity`` and ``-Infinity`` raise :class:`MalformedDocument` naming
-    the stream's file, or ``label`` when the stream has no name.  With
+    Invalid JSON, bytes that are not UTF-8, the tokens ``NaN``,
+    ``Infinity`` and ``-Infinity``, nesting too deep and an integer too long
+    to read raise :class:`MalformedDocument` naming the stream's file, or
+    ``label`` when the stream has no name.  With
     ``schema_checks_numbers`` the three tokens are read as floats instead,
     for a caller whose schema rejects them where they stand, which names
     the record holding them.
     """
     if not isinstance(source, io.TextIOBase):
         source = codecs.getreader("utf-8")(source)
+    decode = _lenient_json if schema_checks_numbers else decode_json
     try:
-        text = source.read()
-        return json.loads(text) if schema_checks_numbers else decode_json(text)
+        return decode(source.read())
     except (json.JSONDecodeError, UnicodeDecodeError, MalformedDocument) as exc:
         raise MalformedDocument(f"{getattr(source, 'name', label)} is not valid JSON: {exc}") from exc
 

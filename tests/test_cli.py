@@ -6,6 +6,8 @@ import hashlib
 import json
 import logging
 import os
+import random
+import re
 import shlex
 import shutil
 import subprocess
@@ -41,6 +43,13 @@ SPLIT_SHA256 = {
 STATS_SHA256 = "b6e1128b954c5d5281f1242b3423760094ba8e134dccd4f01a61a13be6c8609b"
 EVAL_HASH_RANDOM_SHA256 = "872d5c1a2da9adf31f23817c2604552e2a63c8518141f0fb1cf351a99cb4856d"
 EVAL_ORACLE_SHA256 = "a82c1456f578b665b83a50b4ab4ee4ad682ccdfda077ecb9cf604f86cc4ae948"
+# sha256 of what mine-demo prints, on the fixture corpus and on synthetic
+# embeddings, and of 2,000 seeded sample_negatives draws on a table that mixes
+# small categories with one large one (see mixed_size_draws_sha256), so that no
+# change to the sampler moves a draw unseen.
+MINE_DEMO_CORPUS_SHA256 = "d73111b2dfc30d0611b3053c3028daeea6e010bdb196c9b2e6f5439cea87f5bd"
+MINE_DEMO_SYNTHETIC_SHA256 = "d856fb9704185e361f83e6464d639df140edf63b96f9c283bd4714999a98b51d"
+DRAWS_SHA256 = "be472120b93f15470c413a5cfb6e94260fcd1cdc77af945f8d8823a7dfeba0b2"
 
 
 @pytest.fixture(scope="module")
@@ -540,6 +549,66 @@ class TestNonStandardNumbers:
         assert len(errors) == 1 and str(bad) in errors[0] and number in errors[0]
 
 
+# Two kinds of JSON that Python's decoder cannot hold: nesting past the
+# recursion limit, and an integer past the int-string conversion limit.
+DEEP_NESTING = "[" * 100_000 + "]" * 100_000
+LONG_INTEGER = "1" * 5000
+
+
+def _instance_line(second, case):
+    if case == "deep-line":
+        return DEEP_NESTING
+    value = DEEP_NESTING if case == "deep-box" else LONG_INTEGER
+    edited = _first_region_box_edited(json.loads(second), lambda box: {**box, "x": "X"})
+    return json.dumps(edited).replace('"X"', value)
+
+
+class TestUnreadableJson:
+    """Nesting too deep and integers too long to read exit 3, never in a traceback."""
+
+    @pytest.mark.parametrize("command", ["split", "stats", "eval"])
+    @pytest.mark.parametrize("case", ["deep-line", "deep-box", "long-integer-box"])
+    def test_in_an_instance_line_exits_3_naming_the_line(self, pipeline_dir, tmp_path, caplog, command, case):
+        first, second = (pipeline_dir / "instances.jsonl").read_text().splitlines()[:2]
+        path = tmp_path / "instances.jsonl"
+        path.write_text(first + "\n" + _instance_line(second, case) + "\n")
+        out_dir = tmp_path / "split"
+        argv = {
+            "split": ["split", "--out-dir", str(out_dir)],
+            "stats": ["stats", "--json"],
+            "eval": ["eval", "--scorer", "constant"],
+        }[command]
+        with caplog.at_level(logging.ERROR, logger="refsynth"):
+            code = main([*argv, "--instances", str(path)])
+        assert code == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and f"{path}:2:" in errors[0]
+        assert _nothing_in(out_dir)
+
+    @pytest.mark.parametrize("case", ["deep", "long-integer"])
+    @pytest.mark.parametrize("flag", ["--corpus", "--config", "--scores-file"])
+    def test_in_a_document_exits_3_naming_the_file(self, pipeline_dir, tmp_path, caplog, flag, case):
+        bad = tmp_path / "bad.json"
+        if case == "deep":
+            bad.write_text(DEEP_NESTING)
+        elif flag == "--corpus":
+            with open(CORPUS_PATH, encoding="utf-8") as handle:
+                corpus = handle.read()
+            bad.write_text(re.sub(r'"width": \d+', f'"width": {LONG_INTEGER}', corpus, count=1))
+        else:
+            bad.write_text(f'{{"seed": {LONG_INTEGER}}}')
+        command = {
+            "--corpus": ["schema-check"],
+            "--config": ["generate", "--corpus", CORPUS_PATH, "--out", str(tmp_path / "out.jsonl")],
+            "--scores-file": ["eval", "--instances", str(pipeline_dir / "instances.jsonl")],
+        }[flag]
+        with caplog.at_level(logging.ERROR, logger="refsynth"):
+            code = main([*command, flag, str(bad)])
+        assert code == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and str(bad) in errors[0]
+
+
 class TestStats:
     def test_json_summary(self, pipeline_dir, capsys):
         assert main([
@@ -639,6 +708,29 @@ class TestEval:
         assert code == 3
 
 
+def mixed_size_draws_sha256() -> str:
+    """sha256 of 2,000 seeded draws over 60 small categories and one of 300 regions."""
+    from refsynth.mining import ModularEmbedding, build_sampling_table, sample_negatives
+    from refsynth.synthgen import make_embeddings
+
+    embeddings = make_embeddings(17, 400, dim=8, category_count=60) + [
+        ModularEmbedding(region_id=f"L{e.region_id}", category="L", modules=e.modules)
+        for e in make_embeddings(18, 300, dim=8, category_count=1)
+    ]
+    table = build_sampling_table(embeddings)
+    sizes: dict[str, int] = {}
+    for category, _ in table.index.values():
+        sizes[category] = sizes.get(category, 0) + 1
+    ids = sorted(r for r, (category, _) in table.index.items() if sizes[category] > 1)
+    pick, rng = random.Random(PIPELINE_SEED), random.Random(PIPELINE_SEED + 1)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        region = ids[pick.randrange(len(ids))]
+        peers = sample_negatives(table, rng, region)
+        digest.update(f"{region}>{','.join(peers.values())}\n".encode())
+    return digest.hexdigest()
+
+
 class TestMineDemo:
     def test_synthetic_demo_reports_refreshes(self, capsys):
         assert main([
@@ -649,6 +741,16 @@ class TestMineDemo:
         assert payload["iterations"] == 120
         assert payload["refreshes"] == 2
         assert payload["mean_total_loss"] >= 0.0
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--corpus", CORPUS_PATH, "--iterations", "200"], MINE_DEMO_CORPUS_SHA256),
+        (["--regions", "64", "--dim", "8", "--iterations", "120"], MINE_DEMO_SYNTHETIC_SHA256),
+    ], ids=["corpus", "synthetic"])
+    def test_gives_the_pinned_bytes(self, capsys, argv, expected):
+        assert stdout_sha256(capsys, ["mine-demo", *argv]) == expected
+
+    def test_draws_give_the_pinned_bytes(self):
+        assert mixed_size_draws_sha256() == DRAWS_SHA256
 
     @pytest.mark.parametrize("iterations", ["0", "-3"])
     def test_iterations_below_one_exit_2(self, iterations):

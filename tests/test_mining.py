@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import copy
 import io
+import math
+import pickle
 import random
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
+from refsynth import mining
 from refsynth.errors import (
     DataError,
     DimensionMismatch,
@@ -22,6 +27,7 @@ from refsynth.mining import (
     DEFAULT_MARGIN,
     MODULE_NAMES,
     ModularEmbedding,
+    SamplingTable,
     build_sampling_table,
     cosine_similarity,
     mine_loss,
@@ -267,6 +273,115 @@ class TestDrawMemory:
         finally:
             tracemalloc.stop()
         assert peak < size * 8, peak
+
+
+def sized_categories(seed, sizes, dim):
+    """One category per size, ``k{j}`` of ``sizes[j]`` regions, plus a zero-norm
+    region added to the first category."""
+    embeddings = []
+    for j, size in enumerate(sizes):
+        embeddings.extend(
+            ModularEmbedding(region_id=f"k{j}-{e.region_id}", category=f"k{j}", modules=e.modules)
+            for e in make_embeddings(seed + j, size, dim=dim, category_count=1)
+        )
+    embeddings.append(embedding("k0-zero", "k0", [[0.0] * dim] * len(MODULE_NAMES)))
+    return embeddings
+
+
+def stub_values(totals):
+    """0, every running total, its neighbours toward 0 and 1, and values at or
+    above the row's total."""
+    values = [0.0]
+    for total in map(float, totals):
+        values += [total, math.nextafter(total, 0.0), math.nextafter(total, 1.0)]
+    last = float(totals[-1])
+    return values + [last, math.nextafter(last, math.inf), 1.0, 2.0]
+
+
+class TestDrawEqualsTheWalk:
+    # An example of a few hundred regions takes up to a second, so shrinking
+    # a failure would take minutes; it is reported as drawn.
+    @settings(max_examples=20, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(
+        seed=st.integers(0, 2**16),
+        sizes=st.lists(st.integers(1, 300), min_size=1, max_size=3),
+        dim=st.integers(1, 6),
+        picks=st.lists(st.integers(0, 10**6), max_size=1),
+    )
+    def test_every_boundary_draw_equals_the_running_sum_walk(self, seed, sizes, dim, picks):
+        table = build_sampling_table(sized_categories(seed, sizes, dim))
+        regions = {"k0-zero"}
+        for (_, module), block in table.blocks.items():
+            if module == MODULE_NAMES[0]:
+                ids = block.region_ids
+                regions.update([ids[0], ids[-1], *(ids[pick % len(ids)] for pick in picks)])
+        for region_id in sorted(regions):
+            category, position = table.index[region_id]
+            block = table.blocks[(category, MODULE_NAMES[0])]
+            if len(block.region_ids) < 2:
+                with pytest.raises(NoPeers):
+                    sample_negatives(table, StubRandom(0.0), region_id)
+                continue
+            rows = {m: table.blocks[(category, m)].rows[position] for m in MODULE_NAMES}
+            values = {
+                r for m in MODULE_NAMES
+                for r in stub_values(table.blocks[(category, m)].cumulative[position])
+            }
+            for r in sorted(values):
+                expected = {m: walk_sample(rows[m], position, block.region_ids, r) for m in MODULE_NAMES}
+                assert sample_negatives(table, StubRandom(r), region_id) == expected
+                for m in MODULE_NAMES:
+                    assert table.sample(StubRandom(r), region_id, m) == expected[m]
+
+
+def draws(table, seed):
+    """Every region's negatives, then one single-module draw each, from one seeded rng."""
+    rng = random.Random(seed)
+    ids = [r for r in sorted(table.index) if r != "s0"]
+    out = [sample_negatives(table, rng, r) for r in ids]
+    return out + [table.sample(rng, r, MODULE_NAMES[i % 3]) for i, r in enumerate(ids)]
+
+
+class TestSerialization:
+    def test_a_pickled_or_copied_table_draws_the_same_peers(self):
+        table = mixed_table()
+        expected = draws(table, 7)
+        assert draws(pickle.loads(pickle.dumps(table)), 7) == expected
+        assert draws(copy.deepcopy(table), 7) == expected
+        assert draws(table, 7) == expected
+
+
+class TestNoSecondBuffer:
+    def test_a_block_holds_only_its_running_totals(self):
+        for block in mixed_table().blocks.values():
+            held = sum(v.nbytes for v in vars(block).values() if hasattr(v, "nbytes"))
+            assert held == block.cumulative.nbytes
+
+    def test_the_draw_entries_of_a_3000_region_category_take_under_10_kb(self):
+        embeddings = make_embeddings(11, 3000, dim=8, category_count=1)
+        table = build_sampling_table(embeddings, module_names=MODULE_NAMES[:1])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rebuilt = SamplingTable(table.blocks, table.index, table.module_names)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sample_negatives(rebuilt, random.Random(0), "r0001") == sample_negatives(
+            table, random.Random(0), "r0001"
+        )
+        assert peak < 10_000, peak
+
+
+class TestModuleNames:
+    @pytest.mark.parametrize("names", [(), ("subject", "subject")], ids=["none", "repeated"])
+    def test_are_refused_before_any_block_is_built(self, monkeypatch, names):
+        def no_block(*args):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(mining, "_stack_module", no_block)
+        with pytest.raises(DataError, match=re.escape(str(list(names)))):
+            build_sampling_table(make_embeddings(1, 20, 4, 2), module_names=names)
 
 
 class TestLosses:
