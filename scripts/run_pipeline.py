@@ -3,8 +3,9 @@
 
 Chains the CLI subcommands the way a real dataset build would: generate
 expressions, attach distractors, split, print statistics, and evaluate the
-built-in scorers.  Working files land in a scratch directory (default
-``build/``) so nothing under tests/ is touched.
+built-in scorers.  ``--workers N`` runs ``generate`` with N processes.
+Working files land in a scratch directory (default ``build/``) so nothing
+under tests/ is touched.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ def main() -> int:
     parser.add_argument("--corpus", default=os.path.join(FIXTURES, "corpus20.json"))
     parser.add_argument("--out-dir", default=os.path.join(HERE, "..", "build"))
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--workers", type=int, default=1, help="generate's process count")
     args = parser.parse_args()
 
     out = os.path.abspath(args.out_dir)
@@ -40,7 +42,7 @@ def main() -> int:
     seed = str(args.seed)
 
     run(["generate", "--corpus", args.corpus, "--out", expressions, "--seed", seed,
-         "--log", os.path.join(out, "generate.log.json")])
+         "--workers", str(args.workers), "--log", os.path.join(out, "generate.log.json")])
     run(["distract", "--corpus", args.corpus, "--expressions", expressions,
          "--out", instances, "--log", os.path.join(out, "distract.log.json")])
     run(["split", "--instances", instances, "--out-dir", out, "--seed", seed])

@@ -18,15 +18,17 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import dataclasses
 import functools
+import gc
+import itertools
 import json
 import logging
-import math
 import os
 import shlex
 import sys
 import tempfile
-from collections import Counter
+from collections import Counter, deque
 from typing import IO, Callable, Iterator, Sequence, TypeVar
 
 from .balance import compute_stats, format_stats_table, is_spatial_only, relation_weights, split
@@ -115,22 +117,99 @@ def _load_corpus(args: argparse.Namespace) -> Corpus:
     return load_corpus_path(args.corpus, _load(args.synonyms, load_synonyms, SynonymTable.empty))
 
 
-def _expressions_for_image(
-    graph: SceneGraph,
-    targets: Sequence[str],
-    gen_config: GenerationConfig,
-    seed: int,
-) -> list[ExpressionRecord]:
-    """Worker body: all expressions for one image, per-target RNG streams.
+# Images per generate task.  Small runs keep the parent's writes overlapped
+# with the workers' generation and hold only a few runs' lines in memory.
+RUN_IMAGES = 4
 
-    Each target gets a stream derived from (seed, image, target), so output
-    is identical no matter how targets are distributed across processes.
+
+@dataclasses.dataclass(frozen=True)
+class _GenerateJob:
+    """Everything ``generate`` needs to turn a run of images into output lines."""
+
+    graphs: Sequence[SceneGraph]
+    targets: Sequence[tuple[str, ...]]
+    gen_config: GenerationConfig
+    seed: int
+    drop_spatial_only: bool
+
+    def lines(self, start: int, stop: int) -> tuple[str, Counter, int]:
+        """Images ``start:stop``: the JSONL text of their kept expressions,
+        the count per form, and the number of spatial-only trees dropped.
+
+        Each target gets a stream derived from (seed, image, target), so the
+        text does not depend on how images are spread across processes.
+        Both the serial and the pooled path produce their output here.
+        """
+        lines: list[str] = []
+        per_form: Counter = Counter()
+        dropped = 0
+        for graph, targets in zip(self.graphs[start:stop], self.targets[start:stop]):
+            for target in targets:
+                for record in generate(graph, target, self.gen_config, derive_rng(self.seed, graph.image_id, target)):
+                    if self.drop_spatial_only and is_spatial_only(record.tree):
+                        dropped += 1
+                        continue
+                    lines.append(json.dumps(record.to_jsonable(), sort_keys=True) + "\n")
+                    per_form[record.form.value] += 1
+        return "".join(lines), per_form, dropped
+
+
+_job: _GenerateJob | None = None  # a pool worker's job, set once by its initializer
+
+
+def _adopt_job(job: _GenerateJob) -> None:
+    global _job
+    _job = job
+
+
+def _job_lines(start: int, stop: int) -> tuple[str, Counter, int]:
+    return _job.lines(start, stop)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _generated_runs(job: _GenerateJob, workers: int) -> Iterator[tuple[str, Counter, int]]:
+    """``job.lines`` of each run of ``RUN_IMAGES`` images, in corpus order.
+
+    With more than one run and more than one worker, the runs go to a
+    process pool of ``min(workers, runs, usable CPUs)`` processes, which
+    get the job once, through their initializer (inherited under ``fork``,
+    pickled once per worker under ``spawn``).  At most two runs per process
+    are outstanding, so the parent holds a few runs' lines, not the
+    workers' whole output.  A failure cancels every run not yet started.
     """
-    records: list[ExpressionRecord] = []
-    for target in targets:
-        rng = derive_rng(seed, graph.image_id, target)
-        records.extend(generate(graph, target, gen_config, rng))
-    return records
+    runs = [(start, start + RUN_IMAGES) for start in range(0, len(job.graphs), RUN_IMAGES)]
+    size = min(workers, len(runs), _usable_cpus())
+    if size < 2:
+        yield from itertools.starmap(job.lines, runs)
+        return
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=size, initializer=_adopt_job, initargs=(job,))
+    pending: deque = deque()
+    try:
+        # Under fork every worker starts at the first submit.  Frozen objects
+        # are left out of the workers' collections, so the corpus pages they
+        # share with the parent stay shared.
+        gc.freeze()
+        try:
+            pending.append(pool.submit(_job_lines, *runs[0]))
+        finally:
+            gc.unfreeze()
+        for run in runs[1:]:
+            if len(pending) == 2 * size:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_job_lines, *run))
+        while pending:
+            yield pending.popleft().result()
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+    pool.shutdown()
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -177,25 +256,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
         targets_per_image.append(tuple(targets))
     total_targets = sum(len(targets) for targets in targets_per_image)
 
-    work = functools.partial(_expressions_for_image, gen_config=gen_config, seed=config.seed)
-    per_form: dict[str, int] = {}
+    job = _GenerateJob(graphs, targets_per_image, gen_config, config.seed, config.drop_spatial_only)
+    per_form: Counter = Counter()
     dropped_spatial = 0
-    with contextlib.ExitStack() as stack:
-        out, log_file = stack.enter_context(_outputs(args.out, args.log))
-        if config.workers > 1:
-            # One contiguous chunk per worker; map yields results in corpus order.
-            chunksize = max(1, math.ceil(len(graphs) / config.workers))
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=config.workers))
-            per_image = pool.map(work, graphs, targets_per_image, chunksize=chunksize)
-        else:
-            per_image = map(work, graphs, targets_per_image)
-        for image_records in per_image:
-            for record in image_records:
-                if config.drop_spatial_only and is_spatial_only(record.tree):
-                    dropped_spatial += 1
-                    continue
-                out.write(json.dumps(record.to_jsonable(), sort_keys=True) + "\n")
-                per_form[record.form.value] = per_form.get(record.form.value, 0) + 1
+    with _outputs(args.out, args.log) as (out, log_file):
+        runs = _generated_runs(job, config.workers)
+        with contextlib.closing(runs):
+            for text, forms, dropped in runs:
+                out.write(text)
+                per_form.update(forms)
+                dropped_spatial += dropped
         if not per_form:
             raise EmptyResult("no expressions were generated")
 
@@ -204,7 +274,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "expressions": sum(per_form.values()),
             "images": len(corpus.graphs),
             "out": args.out,
-            "per_form": per_form,
+            "per_form": dict(per_form),
             "spatial_only_dropped": dropped_spatial,
             "targets": total_targets,
         }

@@ -58,6 +58,16 @@ class ModularEmbedding:
             converted[name] = arr
         self.modules = converted
 
+    def __eq__(self, other: object) -> bool:
+        """Exact equality, with module vectors compared element by element."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.region_id, self.category) == (other.region_id, other.category)
+            and self.modules.keys() == other.modules.keys()
+            and all(np.array_equal(vector, other.modules[name]) for name, vector in self.modules.items())
+        )
+
     def to_jsonable(self) -> dict:
         return {
             "category": self.category,
@@ -120,6 +130,12 @@ class ProbabilityBlock:
     region_ids: tuple[str, ...]
     cumulative: np.ndarray
 
+    def __eq__(self, other: object) -> bool:
+        """Exact equality, with the running totals compared element by element."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.region_ids == other.region_ids and np.array_equal(self.cumulative, other.cumulative)
+
     @property
     def rows(self) -> np.ndarray:
         """The probabilities themselves, recovered from the running totals."""
@@ -138,7 +154,8 @@ class SamplingTable:
     ``module_names`` order, a flat ``memoryview`` of each module block's
     running totals.  The views share the blocks' memory, so they add no
     array; they cannot be pickled, so a pickled or copied table leaves them
-    out and makes them anew.
+    out and makes them anew.  Tables compare equal when their fields do, so
+    the views take no part in ``==``.
     """
 
     blocks: dict[tuple[str, str], ProbabilityBlock]

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import functools
 import hashlib
 import json
 import logging
+import math
+import multiprocessing
 import os
 import random
 import re
@@ -13,13 +17,16 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import pytest
 
 import refsynth
+from refsynth import cli
 from refsynth.cli import main
 from refsynth.config import PipelineConfig
 from refsynth.distractor import TaskInstance
+from refsynth.errors import SchemaViolation
 from refsynth.scene_graph import load_corpus_path
 
 from .conftest import BAD_BOX_EDITS, CORPUS_PATH, PIPELINE_SEED
@@ -120,6 +127,155 @@ class TestGenerate:
             "generate", "--corpus", CORPUS_PATH, "--out", str(other), "--seed", "1",
         ]) == 0
         assert other.read_bytes() != (pipeline_dir / "expressions.jsonl").read_bytes()
+
+
+class CollectedFuture(concurrent.futures.Future):
+    """A future that tells its pool when its result is collected."""
+
+    def __init__(self, pool):
+        super().__init__()
+        self.pool = pool
+
+    def result(self, timeout=None):
+        self.pool.outstanding -= 1
+        return super().result(timeout)
+
+
+class InlinePool:
+    """A stand-in for ``ProcessPoolExecutor`` that runs each task in this process when it is submitted.
+
+    ``record`` collects the pool sizes asked for and the most tasks ever
+    submitted but not yet collected through ``result()``.
+    """
+
+    def __init__(self, record, max_workers, initializer, initargs):
+        record.sizes.append(max_workers)
+        self.record = record
+        self.outstanding = 0
+        initializer(*initargs)
+
+    def submit(self, fn, *args):
+        future = CollectedFuture(self)
+        future.set_result(fn(*args))
+        self.outstanding += 1
+        self.record.most_outstanding = max(self.record.most_outstanding, self.outstanding)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestGeneratePool:
+    """``generate --workers``: the same bytes and summary at any worker count."""
+
+    FIXTURE_RUNS = math.ceil(20 / cli.RUN_IMAGES)  # the fixture corpus has 20 images
+
+    @staticmethod
+    def _allow_cpus(monkeypatch, count):
+        """Make this process see ``count`` CPUs that it may run on."""
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    def _generate(self, capsys, out, *extra):
+        capsys.readouterr()
+        code = main(["generate", "--corpus", CORPUS_PATH, "--out", str(out), "--seed", str(PIPELINE_SEED), *extra])
+        return code, capsys.readouterr().out
+
+    @pytest.fixture
+    def inline_pool(self, monkeypatch):
+        def no_process(self):
+            raise AssertionError("a process was started")
+
+        record = types.SimpleNamespace(sizes=[], most_outstanding=0)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", functools.partial(InlinePool, record))
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+        monkeypatch.setattr(cli, "_job", None)
+        self._allow_cpus(monkeypatch, 64)
+        return record
+
+    def test_every_worker_count_gives_the_pinned_bytes_and_summary(self, capsys, tmp_path):
+        out = tmp_path / "expressions.jsonl"
+        code, serial = self._generate(capsys, out)
+        assert code == 0 and sha256(out) == EXPRESSIONS_SHA256
+        for workers in (1, 2, 3, self.FIXTURE_RUNS + 3):
+            out.unlink()
+            code, summary = self._generate(capsys, out, "--workers", str(workers))
+            assert code == 0
+            assert sha256(out) == EXPRESSIONS_SHA256, workers
+            assert summary == serial, workers
+
+    def test_spawned_workers_give_the_pinned_bytes(self, capsys, tmp_path, monkeypatch):
+        made = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        def spawning(**kwargs):
+            made.append(kwargs)
+            return real(mp_context=multiprocessing.get_context("spawn"), **kwargs)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", spawning)
+        self._allow_cpus(monkeypatch, 2)
+        out = tmp_path / "expressions.jsonl"
+        code, _ = self._generate(capsys, out, "--workers", "2")
+        assert code == 0
+        assert len(made) == 1
+        assert sha256(out) == EXPRESSIONS_SHA256
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
+    def test_an_error_raised_in_a_worker_exits_3_and_leaves_no_output(self, tmp_path, monkeypatch, caplog):
+        parent = os.getpid()
+        real_generate = cli.generate
+
+        def failing_in_a_worker(graph, target, config, rng):
+            if os.getpid() != parent and graph.image_id == "img010":
+                raise SchemaViolation(f"bad image {graph.image_id} in worker")
+            return real_generate(graph, target, config, rng)
+
+        # Patched before the workers are forked, so they inherit the patch.
+        monkeypatch.setattr(cli, "generate", failing_in_a_worker)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", functools.partial(
+            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        self._allow_cpus(monkeypatch, 2)
+        out, log = tmp_path / "out.jsonl", tmp_path / "log.json"
+        out.write_text("stale\n")
+        with caplog.at_level(logging.ERROR, logger="refsynth"):
+            code = main(["generate", "--corpus", CORPUS_PATH, "--out", str(out), "--log", str(log),
+                         "--workers", "2"])
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert code == 3
+        assert errors == ["bad image img010 in worker"]
+        assert not out.exists() and not log.exists()
+
+    def test_the_pool_is_no_larger_than_the_runs_of_work(self, capsys, tmp_path, inline_pool):
+        out = tmp_path / "expressions.jsonl"
+        code, _ = self._generate(capsys, out, "--workers", "500")
+        assert code == 0
+        assert inline_pool.sizes == [self.FIXTURE_RUNS]
+        assert sha256(out) == EXPRESSIONS_SHA256
+
+    def test_at_most_two_runs_per_worker_are_outstanding(self, capsys, tmp_path, inline_pool):
+        out = tmp_path / "expressions.jsonl"
+        code, _ = self._generate(capsys, out, "--workers", "2")
+        assert code == 0
+        assert inline_pool.sizes == [2]
+        assert inline_pool.most_outstanding == 4
+        assert sha256(out) == EXPRESSIONS_SHA256
+
+    def test_a_process_allowed_one_of_many_cpus_runs_serially(self, capsys, tmp_path, inline_pool, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        code, _ = self._generate(capsys, tmp_path / "expressions.jsonl", "--workers", "2")
+        assert code == 0
+        assert inline_pool.sizes == []
+
+    def test_one_run_of_work_or_one_cpu_runs_serially(self, capsys, tmp_path, inline_pool, monkeypatch):
+        corpus = tmp_path / "corpus.json"
+        with open(CORPUS_PATH, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        corpus.write_text(json.dumps(dict(list(payload.items())[:cli.RUN_IMAGES])))
+        out = tmp_path / "expressions.jsonl"
+        assert main(["generate", "--corpus", str(corpus), "--out", str(out), "--workers", "8"]) == 0
+        self._allow_cpus(monkeypatch, 1)
+        assert main(["generate", "--corpus", CORPUS_PATH, "--out", str(out), "--workers", "8"]) == 0
+        assert inline_pool.sizes == []
 
 
 class TestDistract:
@@ -914,7 +1070,7 @@ class TestPipelineScript:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         result = subprocess.run(
             [sys.executable, os.path.join(root, "scripts", "run_pipeline.py"),
-             "--corpus", CORPUS_PATH, "--out-dir", str(tmp_path)],
+             "--corpus", CORPUS_PATH, "--out-dir", str(tmp_path), "--workers", "2"],
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert result.returncode == 0, result.stderr[-3000:]
@@ -923,6 +1079,7 @@ class TestPipelineScript:
             "distract.log.json", "expressions.jsonl", "generate.log.json",
             "instances.jsonl", "test.jsonl", "train.jsonl", "val.jsonl",
         ]
+        assert sha256(tmp_path / "expressions.jsonl") == EXPRESSIONS_SHA256
         assert sha256(tmp_path / "instances.jsonl") == INSTANCES_SHA256
         parts = [read_lines(tmp_path / f"{name}.jsonl") for name in ("train", "val", "test")]
         assert sum(map(len, parts)) == len(read_lines(tmp_path / "instances.jsonl"))

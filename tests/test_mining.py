@@ -351,6 +351,30 @@ class TestSerialization:
         assert draws(table, 7) == expected
 
 
+class TestEquality:
+    def test_a_pickled_or_copied_table_compares_equal(self):
+        table = build_sampling_table(make_embeddings(1, 200, 8, 5))
+        assert pickle.loads(pickle.dumps(table)) == table
+        assert copy.deepcopy(table) == table
+
+    def test_one_changed_running_total_compares_unequal(self):
+        table = build_sampling_table(make_embeddings(1, 200, 8, 5))
+        changed = copy.deepcopy(table)
+        block = next(iter(changed.blocks.values()))
+        block.cumulative[0, -1] = np.nextafter(block.cumulative[0, -1], 0.0)
+        assert changed != table
+        assert block != table.blocks[next(iter(table.blocks))]
+
+    def test_a_copied_embedding_compares_equal_and_a_changed_one_unequal(self):
+        original = make_embeddings(1, 4, 8, 2)[0]
+        assert copy.deepcopy(original) == original
+        assert pickle.loads(pickle.dumps(original)) == original
+        changed = copy.deepcopy(original)
+        changed.modules["subject"][0] += 1.0
+        assert changed != original
+        assert ModularEmbedding(original.region_id, "other", original.modules) != original
+
+
 class TestNoSecondBuffer:
     def test_a_block_holds_only_its_running_totals(self):
         for block in mixed_table().blocks.values():
