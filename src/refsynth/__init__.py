@@ -36,7 +36,6 @@ from .evaluation import (
     Setting,
     SubprocessScorer,
     evaluate,
-    select_region,
 )
 from .expression import (
     ExpressionRecord,
@@ -75,7 +74,6 @@ from .scene_graph import (
     RelationEdge,
     SceneGraph,
     SynonymTable,
-    eligible_targets,
     load_corpus,
     load_corpus_path,
     load_synonyms,
@@ -90,7 +88,6 @@ _MINING_NAMES = frozenset({
     "ModularEmbedding",
     "SamplingTable",
     "build_sampling_table",
-    "cosine_similarity",
     "mine_loss",
     "rank_loss",
     "sample_negatives",
@@ -146,10 +143,8 @@ __all__ = [
     "build_sampling_table",
     "compose",
     "compute_stats",
-    "cosine_similarity",
     "default_attribute_lexicon",
     "default_templates",
-    "eligible_targets",
     "evaluate",
     "fill",
     "find_distractors",
@@ -172,7 +167,6 @@ __all__ = [
     "relation_weights",
     "render_text",
     "sample_negatives",
-    "select_region",
     "select_template",
     "should_refresh",
     "shuffle_words",

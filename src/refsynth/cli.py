@@ -104,17 +104,31 @@ def _outputs(*paths: str | None) -> Iterator[tuple[IO[str] | None, ...]]:
             raise
 
 
+@contextlib.contextmanager
+def _naming(path: str) -> Iterator[None]:
+    """Raise a :class:`DataError` of the body that does not name ``path`` again, naming it."""
+    try:
+        yield
+    except DataError as exc:
+        if path in str(exc):
+            raise
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _load(path: str | None, loader: Callable[[IO], T], default: Callable[[], T] | None = None) -> T:
     """``loader`` over the file at ``path``, read as bytes; ``default()`` when no path is given."""
     if path is None:
         return default()
-    with open(path, "rb") as handle:
+    with open(path, "rb") as handle, _naming(path):
         return loader(handle)
 
 
-def _load_corpus(args: argparse.Namespace) -> Corpus:
-    """The ``--corpus`` file, canonicalized through the ``--synonyms`` table."""
-    return load_corpus_path(args.corpus, _load(args.synonyms, load_synonyms, SynonymTable.empty))
+def _load_corpus(args: argparse.Namespace, synonyms: SynonymTable | None = None) -> Corpus:
+    """The ``--corpus`` file, canonicalized through ``synonyms`` or else the ``--synonyms`` table."""
+    if synonyms is None:
+        synonyms = _load(args.synonyms, load_synonyms, SynonymTable.empty)
+    with _naming(args.corpus):
+        return load_corpus_path(args.corpus, synonyms)
 
 
 # Images per generate task.  Small runs keep the parent's writes overlapped
@@ -222,7 +236,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     synonyms = _load(args.synonyms, load_synonyms, SynonymTable.empty)
     lexicon = _load(args.lexicon, load_attribute_lexicon, default_attribute_lexicon)
     templates = _load(args.templates, load_templates, default_templates)
-    corpus = load_corpus_path(args.corpus, synonyms)
+    corpus = _load_corpus(args, synonyms)
 
     try:
         weights = relation_weights(corpus).weights
@@ -424,7 +438,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args) if args.corpus else None
     expressions = read_jsonl(args.expressions, ExpressionRecord.from_jsonable) if args.expressions else ()
     instances = _read_instances(args.instances, corpus) if args.instances else ()
-    stats = compute_stats(corpus, expressions, instances, top_k=args.top_k)
+    try:
+        stats = compute_stats(corpus, expressions, instances, top_k=args.top_k)
+    except EmptyInput as exc:
+        named = ", ".join(path for path in (args.corpus, args.expressions, args.instances) if path)
+        raise EmptyInput(f"{exc} in {named}" if named else str(exc)) from None
     if args.json:
         _print_summary(stats.to_jsonable())
     else:
@@ -459,7 +477,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     settings = tuple(Setting(s) for s in args.settings) if args.settings else tuple(Setting)
     instances = _read_instances(args.instances, corpus)
     with _build_scorer(args, corpus, lexicon) as scorer:
-        report = evaluate(instances, scorer, settings)
+        try:
+            report = evaluate(instances, scorer, settings)
+        except EmptyInput:
+            raise EmptyInput(f"no instances in {args.instances}") from None
 
     if args.json:
         _print_summary(report.to_jsonable())
@@ -562,10 +583,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="overrides the config seed")
-        p.add_argument("--synonyms", help="synonym table JSON")
+    def common(p: argparse.ArgumentParser, config: bool = True, synonyms: bool = True) -> None:
+        if config:
+            p.add_argument("--config", help="JSON config file")
+            p.add_argument("--seed", type=int, help="overrides the config seed")
+        if synonyms:
+            p.add_argument("--synonyms", help="synonym table JSON")
 
     p = sub.add_parser("generate", help="synthesize expressions from a corpus")
     common(p)
@@ -589,14 +612,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distract)
 
     p = sub.add_parser("split", help="partition instances by target image")
-    common(p)
+    common(p, synonyms=False)
     p.add_argument("--instances", required=True, help="task instances JSONL")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.add_argument("--ratios", help="three comma-separated fractions summing to 1")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("stats", help="summarize a corpus and its derived data")
-    common(p)
+    common(p, config=False)
     p.add_argument("--corpus")
     p.add_argument("--expressions")
     p.add_argument("--instances")
@@ -605,7 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("eval", help="score a model under the selection protocol")
-    common(p)
+    common(p, config=False)
+    p.add_argument("--seed", type=int, help="hash-random scorer seed (default 0)")
     p.add_argument("--instances", required=True)
     p.add_argument("--corpus", help="needed by the oracle scorer")
     p.add_argument("--lexicon")
@@ -626,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mine_demo)
 
     p = sub.add_parser("schema-check", help="validate a corpus file")
-    common(p)
+    common(p, config=False)
     p.add_argument("--corpus", required=True)
     p.set_defaults(func=cmd_schema_check)
 

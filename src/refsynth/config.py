@@ -58,13 +58,16 @@ class PipelineConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+            raise ConfigError(f"unknown config keys in {path}: {', '.join(unknown)}")
         for key in ("category_blacklist", "split_ratios"):
             if key in data:
                 if not isinstance(data[key], list):
-                    raise ConfigError(f"config key {key!r} must be a list")
+                    raise ConfigError(f"config key {key!r} in {path} must be a list")
                 data[key] = tuple(data[key])
-        return cls(**data).validated()
+        try:
+            return cls(**data).validated()
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} (in {path})") from None
 
     def override(self, **updates) -> "PipelineConfig":
         """Non-None keyword values replace the corresponding fields."""

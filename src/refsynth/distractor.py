@@ -75,6 +75,7 @@ def _skeleton(tree: ReasoningTree) -> ReasoningTree:
 
 def _realized(skeleton: ReasoningTree, graph: SceneGraph,
               lexicon: Mapping[str, str] | None) -> bool:
+    """Does any object realize a :func:`_skeleton`'s categories and relations?"""
     if not skeleton.edges:
         return False
     if skeleton.form is not LogicForm.SAME:
@@ -91,20 +92,6 @@ def _realized(skeleton: ReasoningTree, graph: SceneGraph,
             ):
                 return True
     return False
-
-
-def skeleton_realized(tree: ReasoningTree, graph: SceneGraph,
-                      lexicon: Mapping[str, str] | None = None) -> bool:
-    """Does any object realize the tree's category-and-relation skeleton?
-
-    Attributes, ordering, and negations are stripped; only the object
-    categories and the relational structure count.  Relational forms are
-    decided by ``match`` on the stripped tree; a same-form tree needs any
-    value of the edge's attribute category shared by a root-category object
-    and a distinct child-category object.  Trees without any relational
-    structure realize nothing, so for them this is always False.
-    """
-    return _realized(_skeleton(tree), graph, lexicon)
 
 
 def _structural_ok(dtype: DistractorType, graph: SceneGraph, tree: ReasoningTree,

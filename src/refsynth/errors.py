@@ -41,10 +41,6 @@ class NoCandidates(DataError):
     """Region selection was asked to choose from an empty candidate pool."""
 
 
-class ZeroNorm(DataError):
-    """Cosine similarity is undefined for a zero-norm vector."""
-
-
 class DimensionMismatch(DataError):
     """Vectors that must share a dimensionality do not."""
 

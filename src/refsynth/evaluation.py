@@ -145,8 +145,9 @@ class FileScorer:
     the regions it finds hard.
     """
 
-    def __init__(self, table: Mapping[str, float]) -> None:
+    def __init__(self, table: Mapping[str, float], name: str = "scores table") -> None:
         self.table = dict(table)
+        self.name = name
 
     @classmethod
     def load(cls, source: IO) -> "FileScorer":
@@ -158,12 +159,12 @@ class FileScorer:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise DataError(f"score for {key!r} is not a number")
             table[key] = float(value)
-        return cls(table)
+        return cls(table, getattr(source, "name", "scores file"))
 
     def score(self, expression, image_id, object_id, box):
         key = score_key(expression.expr_id, image_id, object_id)
         if key not in self.table:
-            raise KeyMismatch(f"no score for {key}")
+            raise KeyMismatch(f"{self.name} has no score for {key}")
         return self.table[key]
 
 
@@ -326,16 +327,6 @@ def _argmax(
     return best
 
 
-def select_region(
-    instance: TaskInstance,
-    scorer: RegionScorer,
-    setting: Setting = Setting.FULL,
-) -> tuple[str, str]:
-    """Argmax over every candidate region in the setting's images."""
-    image_ids = setting_images(instance, setting)
-    return _argmax(instance, image_ids, _score_images(instance, scorer, image_ids))
-
-
 def length_bucket(word_count: int) -> str:
     """Short is under 10 words, long is over 20, middle is the rest."""
     if word_count < 10:
@@ -408,8 +399,10 @@ def evaluate(
 
     Each instance's pool, the images of all requested settings, is scored
     once; every setting is then an argmax over its share of those scores.
+    A setting named twice is evaluated once, in first-seen order.
     ``instances`` may be any iterable; it is read once and no instance is kept.
     """
+    settings = tuple(dict.fromkeys(settings))
     results = {setting: SettingResult() for setting in settings}
     count = 0
     for instance in instances:

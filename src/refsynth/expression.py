@@ -23,7 +23,6 @@ from .reasoning import (
     LogicForm,
     ReasoningTree,
     compose,
-    match,
     parse_and_or,
     parse_chain,
     parse_not,

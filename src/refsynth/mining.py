@@ -17,19 +17,11 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DimensionMismatch,
-    KeyMismatch,
-    NoPeers,
-    ZeroNorm,
-    EmptyInput,
-)
-from .util import parse_jsonl, write_jsonl
+from .errors import DataError, DimensionMismatch, EmptyInput, KeyMismatch, NoPeers
 
 MODULE_NAMES = ("subject", "location", "relation")
 DEFAULT_MARGIN = 0.1
@@ -67,55 +59,6 @@ class ModularEmbedding:
             and self.modules.keys() == other.modules.keys()
             and all(np.array_equal(vector, other.modules[name]) for name, vector in self.modules.items())
         )
-
-    def to_jsonable(self) -> dict:
-        return {
-            "category": self.category,
-            "modules": {k: self.modules[k].tolist() for k in sorted(self.modules)},
-            "region_id": self.region_id,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Mapping) -> "ModularEmbedding":
-        try:
-            return cls(
-                region_id=str(data["region_id"]),
-                category=str(data["category"]),
-                modules={str(k): np.asarray(v, dtype=float) for k, v in data["modules"].items()},
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed embedding record: {exc}") from exc
-
-
-def write_embeddings(embeddings: Iterable[ModularEmbedding], sink: IO) -> int:
-    """Serialize embeddings as JSON lines; returns the line count."""
-    return write_jsonl((emb.to_jsonable() for emb in embeddings), sink)
-
-
-def read_embeddings(source: IO) -> list[ModularEmbedding]:
-    name = getattr(source, "name", "embeddings")
-    return list(parse_jsonl(source, name, ModularEmbedding.from_jsonable))
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Plain cosine; rejects mismatched shapes and zero-length vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"vector shapes differ: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNorm("cosine similarity of a zero vector is undefined")
-    return float(np.dot(a, b) / (na * nb))
-
-
-def softmax_row(values: np.ndarray) -> np.ndarray:
-    """Standard softmax of a 1-D array, stabilized by max subtraction."""
-    values = np.asarray(values, dtype=float)
-    shifted = values - values.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
 
 
 @dataclass

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .errors import SchemaViolation
 from .scene_graph import ObjectNode, SceneGraph
-from .util import ordinal_word, weighted_choice
+from .util import weighted_choice
 
 
 class LogicForm(str, Enum):
@@ -615,39 +615,7 @@ def compose(
 
 
 # ---------------------------------------------------------------------------
-# Display and serialization
-
-
-def _node_arrow(node: TreeNode) -> str:
-    parts: list[str] = []
-    if node.order_spec is not None:
-        parts.append(ordinal_word(node.order_spec.index))
-        parts.append(node.order_spec.direction)
-    parts.extend(node.attributes)
-    parts.extend(f"not {a}" for a in node.negated_attributes)
-    if parts:
-        return f"{node.category} ({', '.join(parts)})"
-    return node.category
-
-
-def _edge_arrow(edge: TreeEdge) -> str:
-    label = edge.predicate if edge.kind == EDGE_RELATION else f"same {edge.category}"
-    return f"-[{label}]-> {_node_arrow(edge.child)}"
-
-
-def tree_to_arrow(tree: ReasoningTree) -> str:
-    """One-line display form, e.g. ``cat (left, sleeping) -[resting on]-> towel (white)``."""
-    parts = [_node_arrow(tree.root)]
-    if tree.form in (LogicForm.AND, LogicForm.OR):
-        sep = " & " if tree.form is LogicForm.AND else " | "
-        parts.append(" ")
-        parts.append(sep.join(_edge_arrow(e) for e in tree.edges))
-    else:
-        for edge in tree.edges:
-            parts.append(f" {_edge_arrow(edge)}")
-        if tree.chain_extension is not None:
-            parts.append(f" {_edge_arrow(tree.chain_extension)}")
-    return "".join(parts)
+# Serialization
 
 
 def _node_to_jsonable(node: TreeNode) -> dict:

@@ -12,15 +12,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Iterable, Mapping
+from typing import IO, Mapping
 
 from .errors import DanglingEdge, SchemaViolation
 from .util import load_json
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MIN_AREA_RATIO = 0.01
-DEFAULT_CATEGORY_BLACKLIST = frozenset({"sky", "cloud"})
 _NUMBER_TYPES = frozenset({int, float})
 _INF = float("inf")
 
@@ -206,9 +204,6 @@ class SynonymTable:
         """Non-canonical surface forms available for a canonical term."""
         return self.entries.get(term, (term,))[1:]
 
-    def to_jsonable(self) -> dict:
-        return {k: list(v) for k, v in sorted(self.entries.items())}
-
 
 def load_synonyms(source: IO) -> SynonymTable:
     """Read a synonym table from a JSON map of canonical -> [surface, ...]."""
@@ -360,54 +355,11 @@ def load_corpus_path(path: str, synonyms: SynonymTable | None = None) -> Corpus:
         return load_corpus(handle, synonyms)
 
 
-def corpus_to_jsonable(corpus: Corpus) -> dict:
-    """Serialize a corpus back to the on-disk schema (canonical ordering)."""
-    out: dict = {}
-    for image_id, graph in corpus.graphs.items():
-        objects: dict = {}
-        for node in graph.nodes:
-            objects[node.id] = {
-                "name": node.category,
-                "x": node.box.x,
-                "y": node.box.y,
-                "w": node.box.w,
-                "h": node.box.h,
-                "attributes": list(node.attributes),
-                "relations": [
-                    {"name": e.predicate, "object": e.object}
-                    for e in graph.out_edges(node.id)
-                ],
-            }
-        out[image_id] = {"width": graph.width, "height": graph.height, "objects": objects}
-    return out
-
-
-def eligible_targets(
-    graph: SceneGraph,
-    min_area_ratio: float = DEFAULT_MIN_AREA_RATIO,
-    blacklist: Iterable[str] = DEFAULT_CATEGORY_BLACKLIST,
-) -> tuple[str, ...]:
-    """Object ids worth describing, ascending by id.
-
-    A region qualifies when its box covers at least ``min_area_ratio`` of the
-    image and its category is not blacklisted.  Tiny regions and backdrop
-    categories make degenerate referents, so both are filtered before any
-    expression synthesis.
-    """
-    if not 0.0 <= min_area_ratio <= 1.0:
-        raise ValueError(f"min_area_ratio must lie in [0, 1], got {min_area_ratio}")
-    return tuple(
-        node.id
-        for node in graph.nodes
-        if target_exclusion_reason(graph, node, min_area_ratio, frozenset(blacklist)) is None
-    )
-
-
 def target_exclusion_reason(
     graph: SceneGraph,
     node: ObjectNode,
-    min_area_ratio: float = DEFAULT_MIN_AREA_RATIO,
-    blacklist: frozenset[str] = DEFAULT_CATEGORY_BLACKLIST,
+    min_area_ratio: float,
+    blacklist: frozenset[str],
 ) -> str | None:
     """Why a region cannot serve as a target: "area", "blacklist", or None."""
     if node.box.area < min_area_ratio * (graph.width * graph.height):

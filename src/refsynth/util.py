@@ -116,15 +116,6 @@ def read_jsonl(
         yield from parse_jsonl(handle, path, parse, decode)
 
 
-def write_jsonl(payloads: Iterable[object], sink: IO) -> int:
-    """Write each payload as one sorted-key JSON line; returns the line count."""
-    count = 0
-    for payload in payloads:
-        sink.write(json.dumps(payload, sort_keys=True) + "\n")
-        count += 1
-    return count
-
-
 def derive_rng(seed: int, *keys: object) -> random.Random:
     """Random stream keyed by (seed, *keys).
 

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from refsynth.balance import is_spatial_only, relation_weights
+from refsynth.config import PipelineConfig
 from refsynth.distractor import find_distractors
 from refsynth.expression import (
     GenerationConfig,
@@ -21,8 +22,8 @@ from refsynth.scene_graph import (
     RelationEdge,
     SceneGraph,
     SynonymTable,
-    eligible_targets,
     load_corpus_path,
+    target_exclusion_reason,
 )
 from refsynth.util import derive_rng
 
@@ -32,6 +33,8 @@ SYNONYMS_PATH = os.path.join(FIXTURES, "synonyms.json")
 LEXICON_PATH = os.path.join(FIXTURES, "lexicon.json")
 
 PIPELINE_SEED = 0
+# The target rule generate applies at the default config: (min_area_ratio, blacklist).
+TARGET_RULE = (PipelineConfig.min_area_ratio, frozenset(PipelineConfig.category_blacklist))
 
 
 @pytest.fixture(scope="session")
@@ -59,9 +62,10 @@ def expressions(corpus, generation_config):
     """Every expression the fixture corpus yields, spatial-only ones dropped."""
     records = []
     for image_id, graph in corpus.graphs.items():
-        for target in eligible_targets(graph):
-            rng = derive_rng(PIPELINE_SEED, image_id, target)
-            records.extend(generate(graph, target, generation_config, rng))
+        for node in graph.nodes:
+            if target_exclusion_reason(graph, node, *TARGET_RULE) is None:
+                rng = derive_rng(PIPELINE_SEED, image_id, node.id)
+                records.extend(generate(graph, node.id, generation_config, rng))
     return [r for r in records if not is_spatial_only(r.tree)]
 
 

@@ -176,6 +176,13 @@ def literal_mine_loss(positive, region_scores, expression_scores, margin) -> flo
     return total
 
 
+def cosine(a, b) -> float:
+    """Cosine of two vectors via math.fsum, no numpy involved; 0.0 for a
+    zero-length vector, which the sampling table counts as dissimilar to all."""
+    norms = math.sqrt(math.fsum(x * x for x in a)) * math.sqrt(math.fsum(y * y for y in b))
+    return math.fsum(x * y for x, y in zip(a, b)) / norms if norms else 0.0
+
+
 def hand_softmax(values) -> list[float]:
     """Softmax via math.exp, no numpy involved."""
     exps = [math.exp(v) for v in values]

@@ -42,11 +42,11 @@ from refsynth.reasoning import (
     match,
     validate_tree,
 )
-from refsynth.scene_graph import Corpus, SynonymTable, eligible_targets
+from refsynth.scene_graph import Corpus, SynonymTable, target_exclusion_reason
 from refsynth.synthgen import make_embeddings
 from refsynth.util import derive_rng
 
-from .conftest import CORPUS_PATH, PIPELINE_SEED, box, build_graph
+from .conftest import CORPUS_PATH, PIPELINE_SEED, TARGET_RULE, box, build_graph
 from .oracles import (
     brute_force_match,
     chance_hit_probability,
@@ -354,9 +354,10 @@ def test_inverse_frequency_balancing_and_spatial_filter(
 
         raw = []
         for image_id, g in corpus.graphs.items():
-            for target in eligible_targets(g):
-                stream = derive_rng(PIPELINE_SEED, image_id, target)
-                raw.extend(r.tree for r in generate(g, target, generation_config, stream))
+            for node in g.nodes:
+                if target_exclusion_reason(g, node, *TARGET_RULE) is None:
+                    stream = derive_rng(PIPELINE_SEED, image_id, node.id)
+                    raw.extend(r.tree for r in generate(g, node.id, generation_config, stream))
         spatial_raw = [t for t in raw if is_spatial_only(t)]
         assert spatial_raw, "the raw stream should contain spatial-only expressions"
         assert len(raw) - len(spatial_raw) == len(expressions)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import logging
 import math
@@ -16,10 +18,12 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import types
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import refsynth
 from refsynth import cli
@@ -29,7 +33,7 @@ from refsynth.distractor import TaskInstance
 from refsynth.errors import SchemaViolation
 from refsynth.scene_graph import load_corpus_path
 
-from .conftest import BAD_BOX_EDITS, CORPUS_PATH, PIPELINE_SEED
+from .conftest import BAD_BOX_EDITS, CORPUS_PATH, LEXICON_PATH, PIPELINE_SEED, SYNONYMS_PATH
 
 # sha256 of the generate and distract outputs on the fixture corpus at
 # PIPELINE_SEED, so that no refactor of either stage changes a byte unseen.
@@ -765,6 +769,158 @@ class TestUnreadableJson:
         assert len(errors) == 1 and str(bad) in errors[0]
 
 
+# The fuzz test's inputs: each names a valid file and the command run on a
+# mutated copy of it (``bad``), with ``tmp`` for that command's outputs.
+FUZZ_TARGETS = {
+    "corpus/schema-check": ("corpus", lambda f, bad, tmp: ["schema-check", "--corpus", bad]),
+    "synonyms/schema-check": ("synonyms", lambda f, bad, tmp: [
+        "schema-check", "--corpus", CORPUS_PATH, "--synonyms", bad]),
+    "config/generate": ("config", lambda f, bad, tmp: [
+        "generate", "--corpus", CORPUS_PATH, "--out", os.path.join(tmp, "e.jsonl"), "--config", bad]),
+    "lexicon/eval": ("lexicon", lambda f, bad, tmp: [
+        "eval", "--corpus", CORPUS_PATH, "--instances", f["instances"], "--lexicon", bad]),
+    "expressions/distract": ("expressions", lambda f, bad, tmp: [
+        "distract", "--corpus", CORPUS_PATH, "--expressions", bad, "--out", os.path.join(tmp, "i.jsonl")]),
+    "expressions/stats": ("expressions", lambda f, bad, tmp: ["stats", "--json", "--expressions", bad]),
+    "instances/split": ("instances", lambda f, bad, tmp: [
+        "split", "--instances", bad, "--out-dir", os.path.join(tmp, "split")]),
+    "instances/stats": ("instances", lambda f, bad, tmp: [
+        "stats", "--json", "--corpus", CORPUS_PATH, "--instances", bad]),
+    "instances/eval": ("instances", lambda f, bad, tmp: [
+        "eval", "--corpus", CORPUS_PATH, "--instances", bad]),
+    "scores/eval": ("scores", lambda f, bad, tmp: [
+        "eval", "--instances", f["instances"], "--scores-file", bad]),
+}
+FUZZ_MUTATIONS = (
+    "byte-flip", "truncation", "deep-nesting", "long-integer", "other-type", "duplicate-key", "bom", "non-utf8",
+)
+JSONL_INPUTS = frozenset({"expressions", "instances"})
+OTHER_VALUES = (None, True, 0, -1.5, "x", [], {}, [1, "a"], {"k": 1})
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(pipeline_dir):
+    """Valid files of every kind the commands read, small enough to run often."""
+    root = pipeline_dir / "fuzz"
+    root.mkdir()
+    expressions = (pipeline_dir / "expressions.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    instances = (pipeline_dir / "instances.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    (root / "expressions.jsonl").write_text("".join(expressions[:12]), encoding="utf-8")
+    (root / "instances.jsonl").write_text("".join(instances[:3]), encoding="utf-8")
+    scores = {}
+    for line in instances[:3]:
+        instance = TaskInstance.from_jsonable(json.loads(line))
+        for image_id in instance.images:
+            for object_id, _ in instance.candidate_regions[image_id]:
+                scores[f"{instance.expression.expr_id}|{image_id}|{object_id}"] = len(scores) % 7 / 7
+    (root / "scores.json").write_text(json.dumps(scores, indent=2), encoding="utf-8")
+    (root / "config.json").write_text(json.dumps(PipelineConfig().to_jsonable(), indent=2), encoding="utf-8")
+    return {
+        "corpus": CORPUS_PATH, "synonyms": SYNONYMS_PATH, "lexicon": LEXICON_PATH,
+        "config": str(root / "config.json"), "expressions": str(root / "expressions.jsonl"),
+        "instances": str(root / "instances.jsonl"), "scores": str(root / "scores.json"),
+    }
+
+
+def _value_paths(value, path=()):
+    """The path of every value in a JSON document, the document's own first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _value_paths(item, (*path, key))
+
+
+def _at(document, path):
+    return functools.reduce(lambda value, key: value[key], path, document)
+
+
+def _other_value(value, pick):
+    others = [other for other in OTHER_VALUES if type(other) is not type(value)]
+    return json.dumps(others[pick % len(others)])
+
+
+def _mutated(data: bytes, mutation: str, jsonl: bool, where: int, pick: int) -> bytes:
+    """``data`` with one mutation; ``where`` and ``pick`` choose the place and the new value."""
+    if mutation == "byte-flip":
+        i = where % len(data)
+        return data[:i] + bytes([data[i] ^ (pick % 255 + 1)]) + data[i + 1:]
+    if mutation == "truncation":
+        return data[:where % len(data)]
+    if mutation == "bom":
+        return b"\xef\xbb\xbf" + data
+    if mutation == "non-utf8":
+        i = where % (len(data) + 1)
+        return data[:i] + b"\xff" + data[i:]
+    # The rest edit one value of one document: of the file, or of one JSONL line.
+    lines = data.split(b"\n") if jsonl else [data]
+    filled = [k for k, line in enumerate(lines) if line.strip()]
+    k = filled[where % len(filled)]
+    document = json.loads(lines[k])
+    paths = list(_value_paths(document))
+    if mutation == "duplicate-key":
+        paths = [p for p in paths if isinstance(_at(document, p), dict) and _at(document, p)]
+    path = paths[where // len(filled) % len(paths)]
+    value = _at(document, path)
+    if mutation == "deep-nesting":
+        text = DEEP_NESTING
+    elif mutation == "long-integer":
+        text = LONG_INTEGER
+    elif mutation == "other-type":
+        text = _other_value(value, pick)
+    else:
+        key = list(value)[pick % len(value)]
+        text = f"{json.dumps(value)[:-1]}, {json.dumps(key)}: {_other_value(value[key], pick)}}}"
+    marker = "\x00splice\x00"
+    if path:
+        _at(document, path[:-1])[path[-1]] = marker
+        text = json.dumps(document).replace(json.dumps(marker), text)
+    lines[k] = text.encode()
+    return b"\n".join(lines)
+
+
+class TestFuzzedInputs:
+    """One mutated input file never ends in a traceback, and a failure names the file."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    # Inputs that once ended in a traceback: nesting too deep, an integer too long to read.
+    @example(target="instances/eval", mutation="deep-nesting", where=0, pick=0)
+    @example(target="corpus/schema-check", mutation="long-integer", where=2, pick=0)
+    # Inputs whose error once did not name the file: a config or corpus value
+    # of the wrong type, a scores file without a key, an empty input.
+    @example(target="config/generate", mutation="other-type", where=1, pick=0)
+    @example(target="corpus/schema-check", mutation="other-type", where=2, pick=0)
+    @example(target="scores/eval", mutation="byte-flip", where=5, pick=0)
+    @example(target="expressions/stats", mutation="truncation", where=0, pick=0)
+    @example(target="instances/eval", mutation="truncation", where=0, pick=0)
+    @given(
+        target=st.sampled_from(sorted(FUZZ_TARGETS)),
+        mutation=st.sampled_from(FUZZ_MUTATIONS),
+        where=st.integers(0, 10**6),
+        pick=st.integers(0, 255),
+    )
+    def test_exits_with_a_documented_code(self, fuzz_inputs, target, mutation, where, pick):
+        name, argv = FUZZ_TARGETS[target]
+        with open(fuzz_inputs[name], "rb") as handle:
+            data = _mutated(handle.read(), mutation, name in JSONL_INPUTS, where, pick)
+        errors = []
+        handler = logging.Handler(logging.ERROR)
+        handler.emit = lambda record: errors.append(record.getMessage())
+        logger = logging.getLogger("refsynth")
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = os.path.join(tmp, f"bad-{name}")
+            with open(bad, "wb") as handle:
+                handle.write(data)
+            logger.addHandler(handler)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv(fuzz_inputs, bad, tmp))
+            finally:
+                logger.removeHandler(handler)
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert len(errors) == 1 and bad in errors[0], errors
+
+
 class TestStats:
     def test_json_summary(self, pipeline_dir, capsys):
         assert main([
@@ -1043,6 +1199,46 @@ class TestConfigValidation:
         assert config.validated() is config
 
 
+class TestSharedFlags:
+    """--config, --seed and --synonyms exist only on the commands that read them."""
+
+    @staticmethod
+    def _argv(command, pipeline_dir, tmp_path):
+        instances = str(pipeline_dir / "instances.jsonl")
+        return {
+            "stats": ["stats", "--json", "--corpus", CORPUS_PATH],
+            "schema-check": ["schema-check", "--corpus", CORPUS_PATH],
+            "eval": ["eval", "--json", "--scorer", "hash-random", "--instances", instances],
+            "split": ["split", "--instances", instances, "--out-dir", str(tmp_path / "split")],
+        }[command]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("stats", "--config"), ("stats", "--seed"),
+        ("schema-check", "--config"), ("schema-check", "--seed"),
+        ("eval", "--config"), ("split", "--synonyms"),
+    ])
+    def test_a_flag_the_command_never_reads_exits_2(self, pipeline_dir, tmp_path, command, flag):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 5}))
+        value = {"--config": str(config), "--seed": "3", "--synonyms": SYNONYMS_PATH}[flag]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self._argv(command, pipeline_dir, tmp_path), flag, value])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "split").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("stats", ["--synonyms", SYNONYMS_PATH]),
+        ("schema-check", ["--synonyms", SYNONYMS_PATH]),
+        ("eval", ["--synonyms", SYNONYMS_PATH, "--seed", "3"]),
+        ("split", ["--seed", "3", "--config", "CONFIG"]),
+    ])
+    def test_the_flags_a_command_reads_still_run(self, pipeline_dir, tmp_path, command, flags):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"split_ratios": [0.5, 0.25, 0.25]}))
+        flags = [str(config) if flag == "CONFIG" else flag for flag in flags]
+        assert main([*self._argv(command, pipeline_dir, tmp_path), *flags]) == 0
+
+
 class TestStartUp:
     def test_importing_the_cli_does_not_load_numpy(self):
         src = os.path.dirname(os.path.dirname(refsynth.__file__))
@@ -1053,6 +1249,11 @@ class TestStartUp:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_every_exported_name_resolves(self):
+        assert refsynth._MINING_NAMES <= set(refsynth.__all__)
+        for name in refsynth.__all__:
+            assert getattr(refsynth, name) is not None, name
 
     def test_mining_names_are_still_exported(self):
         from refsynth import mining

@@ -15,10 +15,11 @@ from refsynth.distractor import (
     DistractorType,
     InstanceReader,
     TaskInstance,
+    _realized,
+    _skeleton,
     find_distractors,
     instance_line,
     missing_counts,
-    skeleton_realized,
     type_predicate,
 )
 from refsynth.expression import default_attribute_lexicon, default_templates, fill
@@ -163,7 +164,7 @@ class TestTypePredicates:
             root=TreeNode("cup", order_spec=OrderSpec(index=2, direction="left")),
         )
         graph = build_graph("img", {"o1": ("cup", (), box())})
-        assert not skeleton_realized(tree, graph, LEXICON)
+        assert not _realized(_skeleton(tree), graph, LEXICON)
 
     @pytest.mark.parametrize("form", list(LogicForm))
     @settings(max_examples=150, deadline=None)
@@ -171,7 +172,7 @@ class TestTypePredicates:
     def test_skeleton_agrees_with_independent_reimplementation(self, form, data, with_lexicon):
         tree, graph = data.draw(planted_cases(form))
         lexicon = LEXICON if with_lexicon else None
-        assert skeleton_realized(tree, graph, lexicon) == brute_force_skeleton(tree, graph, lexicon)
+        assert _realized(_skeleton(tree), graph, lexicon) == brute_force_skeleton(tree, graph, lexicon)
 
     def test_category_presence_promotes_cat_to_cat_cat_for_edge_free_trees(self):
         # One cup cannot be second from the left, so the tree matches nothing

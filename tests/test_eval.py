@@ -23,11 +23,12 @@ from refsynth.evaluation import (
     Setting,
     SettingResult,
     SubprocessScorer,
+    _argmax,
+    _score_images,
     evaluate,
     format_report,
     length_bucket,
     score_key,
-    select_region,
     setting_images,
 )
 from refsynth.reasoning import match
@@ -142,10 +143,11 @@ class TestOracleScorer:
 class TestTieBreaking:
     def test_constant_scores_pick_the_smallest_pair(self, instances):
         instance = instances[0]
-        chosen = select_region(instance, ConstantScorer())
+        image_ids = setting_images(instance, Setting.FULL)
+        chosen = _argmax(instance, image_ids, _score_images(instance, ConstantScorer(), image_ids))
         everything = [
             (image_id, object_id)
-            for image_id in setting_images(instance, Setting.FULL)
+            for image_id in image_ids
             for object_id, _ in instance.candidate_regions[image_id]
         ]
         assert chosen == min(everything)
@@ -154,13 +156,15 @@ class TestTieBreaking:
         scorer = HashRandomScorer(seed=11)
         for instance in instances[:10]:
             for setting in (Setting.FULL, Setting.CAT_ONLY, Setting.WITHOUT_DIST):
+                image_ids = setting_images(instance, setting)
                 triples = [
                     (image_id, object_id,
                      scorer.score(instance.expression, image_id, object_id, b))
-                    for image_id in setting_images(instance, setting)
+                    for image_id in image_ids
                     for object_id, b in instance.candidate_regions[image_id]
                 ]
-                assert select_region(instance, scorer, setting) == brute_force_select(triples)
+                scores = _score_images(instance, scorer, image_ids)
+                assert _argmax(instance, image_ids, scores) == brute_force_select(triples)
 
     def test_no_candidates_raises(self, instances):
         bare = TaskInstance(
@@ -169,8 +173,10 @@ class TestTieBreaking:
             distractors=instances[0].distractors,
             candidate_regions={k: () for k in instances[0].candidate_regions},
         )
+        image_ids = setting_images(bare, Setting.FULL)
+        scores = _score_images(bare, ConstantScorer(), image_ids)
         with pytest.raises(NoCandidates):
-            select_region(bare, ConstantScorer())
+            _argmax(bare, image_ids, scores)
 
 
 class TestHashRandomScorer:
@@ -207,13 +213,13 @@ class TestFileScorer:
                 key = score_key(instance.expression.expr_id, image_id, object_id)
                 table[key] = 1.0 if (image_id, object_id) == (
                     instance.target_image, instance.expression.target_id) else 0.0
-        scorer = FileScorer(table)
-        assert select_region(instance, scorer) == (
-            instance.target_image, instance.expression.target_id)
+        image_ids = setting_images(instance, Setting.FULL)
+        scores = _score_images(instance, FileScorer(table), image_ids)
+        assert _argmax(instance, image_ids, scores) == (instance.target_image, instance.expression.target_id)
 
     def test_missing_key_is_fatal(self, instances):
         with pytest.raises(KeyMismatch):
-            select_region(instances[0], FileScorer({}))
+            _score_images(instances[0], FileScorer({}), setting_images(instances[0], Setting.FULL))
 
     def test_load_validates_numbers(self):
         with pytest.raises(DataError):
@@ -350,15 +356,16 @@ class TestEvaluate:
         for instance in instances:
             expr = instance.expression
             for setting in Setting:
+                image_ids = setting_images(instance, setting)
                 triples = [
                     (image_id, object_id, scorer.score(expr, image_id, object_id, box))
-                    for image_id in setting_images(instance, setting)
+                    for image_id in image_ids
                     for object_id, box in instance.candidate_regions[image_id]
                 ]
                 top = max(value for _, _, value in triples)
                 ties += sum(value == top for _, _, value in triples) > 1
                 chosen = brute_force_select(triples)
-                assert select_region(instance, scorer, setting) == chosen
+                assert _argmax(instance, image_ids, _score_images(instance, scorer, image_ids)) == chosen
                 expected[setting].record(
                     expr.form.value, length_bucket(expr.word_count),
                     chosen == (instance.target_image, expr.target_id))
@@ -375,6 +382,13 @@ class TestEvaluate:
         }
         report = evaluate(instances, FileScorer(table), settings=(Setting.WITHOUT_DIST,))
         assert report.settings[Setting.WITHOUT_DIST].overall.total == len(instances)
+
+    def test_a_repeated_setting_counts_once(self, instances):
+        scorer = HashRandomScorer(seed=3)
+        repeated = evaluate(instances, scorer, (Setting.FULL, Setting.FULL, Setting.WITHOUT_DIST))
+        once = evaluate(instances, scorer, (Setting.FULL, Setting.WITHOUT_DIST))
+        assert list(repeated.settings) == [Setting.FULL, Setting.WITHOUT_DIST]
+        assert repeated.to_jsonable() == once.to_jsonable()
 
     def test_a_batch_of_the_wrong_length_is_rejected(self, instances):
         class ShortBatch:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import copy
-import io
+import json
 import math
 import pickle
 import random
@@ -21,7 +21,6 @@ from refsynth.errors import (
     EmptyInput,
     KeyMismatch,
     NoPeers,
-    ZeroNorm,
 )
 from refsynth.mining import (
     DEFAULT_MARGIN,
@@ -29,19 +28,15 @@ from refsynth.mining import (
     ModularEmbedding,
     SamplingTable,
     build_sampling_table,
-    cosine_similarity,
     mine_loss,
     rank_loss,
-    read_embeddings,
     sample_negatives,
     should_refresh,
-    softmax_row,
     total_loss,
-    write_embeddings,
 )
 from refsynth.synthgen import make_embeddings
 
-from .oracles import hand_softmax, literal_mine_loss, literal_rank_loss, walk_sample
+from .oracles import cosine, hand_softmax, literal_mine_loss, literal_rank_loss, walk_sample
 
 
 def embedding(region_id, category, vectors) -> ModularEmbedding:
@@ -62,34 +57,46 @@ def trio():
     return [embedding(rid, "cup", [v, v, v]) for rid, v in base]
 
 
+def subject_rows(vectors) -> np.ndarray:
+    """The "subject" rows of a table over one category, region ``r{i}`` holding ``vectors[i]``."""
+    data = [embedding(f"r{i}", "cup", [v] * len(MODULE_NAMES)) for i, v in enumerate(vectors)]
+    return build_sampling_table(data).blocks[("cup", "subject")].rows
+
+
 class TestCosine:
     def test_known_values(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.6, 0.8])) == pytest.approx(0.6)
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([3.0, 0.0])) == pytest.approx(1.0)
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroNorm):
-            cosine_similarity(np.zeros(3), np.ones(3))
+        # Region r0's peers lie at cosines 0.6, 1.0 and 0.0 from it.
+        vectors = [[1.0, 0.0], [0.6, 0.8], [3.0, 0.0], [0.0, 1.0]]
+        assert [cosine(vectors[0], v) for v in vectors[1:]] == pytest.approx([0.6, 1.0, 0.0])
+        row = subject_rows(vectors)[0]
+        assert row[0] == 0.0
+        assert np.allclose(row[1:], hand_softmax([0.6, 1.0, 0.0]), rtol=0.0, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            cosine_similarity(np.ones(3), np.ones(4))
+        # Only the relation vectors differ in length, and the error names that module.
+        data = [
+            embedding("r0", "cup", [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]),
+            embedding("r1", "cup", [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0, 0.0]]),
+        ]
+        with pytest.raises(DimensionMismatch, match=r"^module 'relation' of category 'cup' mixes dimensions \[2, 3\]"):
+            build_sampling_table(data)
 
 
 class TestSoftmax:
     def test_frozen_two_similarity_example(self):
-        row = softmax_row(np.array([0.6, 1.0]))
-        assert row[0] == pytest.approx(0.401312339887548, abs=1e-6)
-        assert row[1] == pytest.approx(0.598687660112452, abs=1e-6)
+        row = subject_rows([[1.0, 0.0], [0.6, 0.8], [2.0, 0.0]])[0]
+        assert row[0] == 0.0
+        assert row[1] == pytest.approx(0.401312339887548, abs=1e-6)
+        assert row[2] == pytest.approx(0.598687660112452, abs=1e-6)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
-    def test_agrees_with_plain_math(self, values):
-        ours = softmax_row(np.array(values))
-        reference = hand_softmax(values)
-        assert np.allclose(ours, reference, atol=1e-12)
-        assert abs(float(ours.sum()) - 1.0) < 1e-9
+    @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=2, max_size=8))
+    def test_agrees_with_plain_math(self, vectors):
+        for i, row in enumerate(subject_rows(vectors)):
+            sims = [cosine(vectors[i], v) for j, v in enumerate(vectors) if j != i]
+            assert row[i] == 0.0
+            assert np.allclose(np.delete(row, i), hand_softmax(sims), rtol=0.0, atol=1e-12)
+            assert abs(float(row.sum()) - 1.0) < 1e-9
 
 
 class StubRandom:
@@ -231,7 +238,7 @@ class TestSharedDrawPath:
             assert np.all(np.diag(rows) == 0.0)
             vectors = [by_id[r].modules[module] for r in block.region_ids]
             for i, row in enumerate(rows):
-                sims = [cosine_similarity(vectors[i], v) for j, v in enumerate(vectors) if j != i]
+                sims = [cosine(vectors[i], v) for j, v in enumerate(vectors) if j != i]
                 peers = [p for j, p in enumerate(row) if j != i]
                 assert np.allclose(peers, hand_softmax(sims), rtol=0.0, atol=1e-12)
 
@@ -240,14 +247,10 @@ class TestNonFiniteEmbedding:
     """One non-finite module value would turn its whole category's rows into NaN."""
 
     def test_a_1e999_line_is_refused_naming_region_and_module(self):
-        sink = io.StringIO()
-        write_embeddings(trio(), sink)
-        lines = sink.getvalue().splitlines()
-        lines[1] = lines[1].replace('"location": [0.6,', '"location": [1e999,')
-        assert "1e999" in lines[1]
-        loaded = read_embeddings(io.StringIO("\n".join(lines) + "\n"))
+        data = trio()
+        data[1].modules["location"][0] = json.loads("1e999")  # JSON, read as infinity
         with pytest.raises(DataError, match=r"'location' of region r1 "):
-            build_sampling_table(loaded)
+            build_sampling_table(data)
 
     def test_an_in_process_nan_is_refused_naming_the_first_bad_region(self):
         data = trio()
@@ -466,30 +469,6 @@ class TestRefreshPolicy:
 
 
 class TestEmbeddingIO:
-    def test_jsonl_round_trip(self):
-        data = trio()
-        sink = io.StringIO()
-        assert write_embeddings(data, sink) == 3
-        loaded = read_embeddings(io.StringIO(sink.getvalue()))
-        assert [e.region_id for e in loaded] == ["r0", "r1", "r2"]
-        for before, after in zip(data, loaded):
-            assert before.category == after.category
-            for name in MODULE_NAMES:
-                assert np.array_equal(before.modules[name], after.modules[name])
-
-    def test_bad_lines_rejected(self):
-        with pytest.raises(DataError):
-            read_embeddings(io.StringIO("{broken\n"))
-        with pytest.raises(DataError):
-            read_embeddings(io.StringIO('{"region_id": "r0"}\n'))
-
-    @pytest.mark.parametrize("second", ["{broken", '{"region_id": "r1"}'], ids=["json", "schema"])
-    def test_a_bad_second_line_is_named(self, second):
-        sink = io.StringIO()
-        write_embeddings(trio()[:1], sink)
-        with pytest.raises(DataError, match=r"embeddings:2\b"):
-            read_embeddings(io.StringIO(sink.getvalue() + second + "\n"))
-
     def test_vector_shape_enforced(self):
         with pytest.raises(DimensionMismatch):
             ModularEmbedding(

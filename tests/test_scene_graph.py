@@ -8,21 +8,20 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from refsynth.errors import DanglingEdge, MalformedDocument, SchemaViolation
+from refsynth.config import PipelineConfig
+from refsynth.errors import ConfigError, DanglingEdge, MalformedDocument, SchemaViolation
 from refsynth.scene_graph import (
     BoundingBox,
     ObjectNode,
     RelationEdge,
     SynonymTable,
     box_record,
-    corpus_to_jsonable,
-    eligible_targets,
     load_corpus,
     load_synonyms,
     target_exclusion_reason,
 )
 
-from .conftest import BAD_BOX_EDITS, box, build_graph
+from .conftest import BAD_BOX_EDITS, CORPUS_PATH, TARGET_RULE, box, build_graph
 
 
 class TestBoundingBox:
@@ -206,10 +205,22 @@ class TestLoadCorpus:
         assert node.attributes == ("red",)
 
     def test_round_trip_preserves_everything(self, corpus):
-        doc = json.dumps(corpus_to_jsonable(corpus))
-        again = load_corpus(io.StringIO(doc))
-        assert corpus_to_jsonable(again) == corpus_to_jsonable(corpus)
-        assert again.graphs.keys() == corpus.graphs.keys()
+        """Every field of the fixture document reaches the loaded graphs."""
+        with open(CORPUS_PATH, encoding="utf-8") as handle:
+            document = json.load(handle)
+        assert list(corpus.graphs) == sorted(document)
+        for image_id, raw in document.items():
+            graph = corpus.graphs[image_id]
+            assert (graph.image_id, graph.width, graph.height) == (image_id, raw["width"], raw["height"])
+            assert sorted(node.id for node in graph.nodes) == sorted(raw["objects"])
+            for obj_id, obj in raw["objects"].items():
+                node = graph.node(obj_id)
+                assert node.category == obj["name"]
+                assert node.attributes == tuple(sorted(set(obj.get("attributes", []))))
+                assert node.box == BoundingBox(x=obj["x"], y=obj["y"], w=obj["w"], h=obj["h"])
+                relations = {(r["name"], r["object"]) for r in obj.get("relations", [])}
+                out_edges = [(edge.predicate, edge.object) for edge in graph.out_edges(obj_id)]
+                assert sorted(out_edges) == sorted(relations)
 
 
 class TestTargetFilters:
@@ -221,8 +232,8 @@ class TestTargetFilters:
                 "tiny": ("cup", (), box(w=30, h=30)),
             },
         )
-        assert eligible_targets(graph) == ("big",)
-        assert target_exclusion_reason(graph, graph.node("tiny")) == "area"
+        assert target_exclusion_reason(graph, graph.node("big"), *TARGET_RULE) is None
+        assert target_exclusion_reason(graph, graph.node("tiny"), *TARGET_RULE) == "area"
 
     def test_blacklisted_categories_are_excluded(self):
         graph = build_graph(
@@ -232,10 +243,10 @@ class TestTargetFilters:
                 "o2": ("cup", (), box(w=100, h=100)),
             },
         )
-        assert eligible_targets(graph) == ("o2",)
-        assert target_exclusion_reason(graph, graph.node("o1")) == "blacklist"
+        assert target_exclusion_reason(graph, graph.node("o2"), *TARGET_RULE) is None
+        assert target_exclusion_reason(graph, graph.node("o1"), *TARGET_RULE) == "blacklist"
 
     def test_ratio_bounds_are_checked(self):
-        graph = build_graph("img", {"o1": ("cup", (), box())})
-        with pytest.raises(ValueError):
-            eligible_targets(graph, min_area_ratio=1.5)
+        # The config owns the range; generate reads the ratio only through it.
+        with pytest.raises(ConfigError, match="^min_area_ratio "):
+            PipelineConfig(min_area_ratio=1.5).validated()
